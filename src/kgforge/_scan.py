@@ -24,6 +24,11 @@ _ECHAR = {
 
 _PN_LOCAL_CHAR = re.compile(r"[A-Za-z0-9_\-]")
 _LANGTAG = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
+# Runs of characters that stand for themselves inside an IRIREF or a
+# quoted string; the readers consume each run in one match and handle
+# only the character that ends it (terminator, escape or illegal).
+_IRI_RUN = re.compile(r'[^> \t\n\r"{}|^`\\]*')
+_STRING_RUN = re.compile(r'[^"\\\n\r]*')
 
 
 class ScanError(ValueError):
@@ -114,47 +119,51 @@ class Scanner:
     def read_iriref(self) -> str:
         """Read ``<...>``, decoding \\uXXXX / \\UXXXXXXXX escapes."""
         self.expect("<")
+        text = self.text
         out: list[str] = []
         while True:
-            if self.at_end():
+            end = _IRI_RUN.match(text, self.pos).end()
+            if end > self.pos:
+                out.append(text[self.pos : end])
+                self.pos = end
+            if end >= len(text):
                 raise self.error("unterminated IRI")
-            c = self.text[self.pos]
+            c = text[end]
             if c == ">":
                 self.pos += 1
                 return "".join(out)
             if c == "\\":
                 out.append(self._read_numeric_escape())
                 continue
-            if c in ' \t\n\r"{}|^`':
-                raise self.error(f"illegal character {c!r} in IRI")
-            out.append(c)
-            self.pos += 1
+            raise self.error(f"illegal character {c!r} in IRI")
 
     def read_string(self) -> str:
         """Read a double-quoted string, decoding ECHAR and numeric escapes."""
         self.expect('"')
+        text = self.text
         out: list[str] = []
         while True:
-            if self.at_end():
+            end = _STRING_RUN.match(text, self.pos).end()
+            if end > self.pos:
+                out.append(text[self.pos : end])
+                self.pos = end
+            if end >= len(text):
                 raise self.error("unterminated string literal")
-            c = self.text[self.pos]
+            c = text[end]
             if c == '"':
                 self.pos += 1
                 return "".join(out)
-            if c in "\n\r":
+            if c != "\\":  # a line break
                 raise self.error("unterminated string literal")
-            if c == "\\":
-                nxt = self.peek(1)
-                if nxt in _ECHAR:
-                    out.append(_ECHAR[nxt])
-                    self.pos += 2
-                    continue
-                if nxt in ("u", "U"):
-                    out.append(self._read_numeric_escape())
-                    continue
-                raise self.error(f"unknown escape sequence \\{nxt}")
-            out.append(c)
-            self.pos += 1
+            nxt = self.peek(1)
+            if nxt in _ECHAR:
+                out.append(_ECHAR[nxt])
+                self.pos += 2
+                continue
+            if nxt in ("u", "U"):
+                out.append(self._read_numeric_escape())
+                continue
+            raise self.error(f"unknown escape sequence \\{nxt}")
 
     def _read_numeric_escape(self) -> str:
         # positioned at the backslash of \uXXXX or \UXXXXXXXX

@@ -10,9 +10,14 @@ envelope::
 
 The cache is addressed by the SHA-256 of the envelope bytes, so an
 unchanged record costs nothing to re-harvest and the transform stage can
-read raw payloads without touching the source again.  A checkpoint file
-written before every yield makes an interrupted run resumable without
-duplicates; a completed run removes it.
+read raw payloads without touching the source again.  Each envelope is
+hashed once per run; a run writes the cache's ``index.json`` once per
+``page_size`` new entries and once when it ends, so its writes grow
+linearly with the records it adds.
+
+The checkpoint is an append-only journal, one JSON-encoded source id per
+line, appended and flushed before each record is yielded.  It makes an
+interrupted run resumable without duplicates; a completed run removes it.
 
 Time and randomness are injected (``Clock``, ``random.Random``) so
 backoff and rate-limit behavior are testable without real waiting.
@@ -23,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
 import time
 import urllib.error
@@ -104,6 +110,8 @@ class RawCache:
     def __init__(self, directory: Path | str):
         self.directory = Path(directory)
         self._index: dict[str, dict] = {}
+        #: Whether entries were added since the index file was last written.
+        self._dirty = False
         index_path = self.directory / INDEX_NAME
         if index_path.exists():
             self._index = json.loads(index_path.read_text(encoding="utf-8"))
@@ -129,7 +137,22 @@ class RawCache:
     def put(
         self, source_id: str, submitted: date, envelope: bytes, fetched_at: datetime
     ) -> CacheEntry:
+        """Store one envelope and write the index at once."""
         digest = hashlib.sha256(envelope).hexdigest()
+        self.add(source_id, submitted, envelope, digest, fetched_at)
+        self.flush()
+        return self.get(source_id)
+
+    def add(
+        self,
+        source_id: str,
+        submitted: date,
+        envelope: bytes,
+        digest: str,
+        fetched_at: datetime,
+    ) -> None:
+        """Store one envelope whose SHA-256 ``digest`` the caller already
+        knows; the index is written by the next :meth:`flush`."""
         relative = f"{digest[:2]}/{digest}.json"
         blob = self.directory / relative
         if not blob.exists():
@@ -141,8 +164,18 @@ class RawCache:
             "submitted": submitted.isoformat(),
             "fetched_at": fetched_at.isoformat(),
         }
-        self._save_index()
-        return self.get(source_id)
+        self._dirty = True
+
+    def flush(self) -> None:
+        """Write the index if entries were added since it was last written."""
+        if not self._dirty:
+            return
+        self.directory.mkdir(parents=True, exist_ok=True)
+        (self.directory / INDEX_NAME).write_text(
+            json.dumps(self._index, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        self._dirty = False
 
     def read_envelope(self, entry: CacheEntry) -> bytes:
         """The stored envelope bytes, verified against the digest."""
@@ -160,13 +193,6 @@ class RawCache:
 
     def load_record(self, entry: CacheEntry) -> RawRecord:
         return _record_from_envelope(self.read_envelope(entry), entry.fetched_at)
-
-    def _save_index(self) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        (self.directory / INDEX_NAME).write_text(
-            json.dumps(self._index, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
 
 
 def parse_envelope(raw: bytes) -> tuple[str, date, bytes]:
@@ -242,64 +268,83 @@ class Harvester:
     def records(self) -> Iterator[RawRecord]:
         """Yield each source record exactly once, in source order.
 
-        The checkpoint is written before every yield, so a consumer that
-        stops early can resume without re-yielding; full consumption
-        removes the checkpoint.
+        Each record's id is appended to the checkpoint journal before it
+        is yielded, so a consumer that stops early can resume without
+        re-yielding; full consumption removes the checkpoint.  The cache
+        index is written once per ``page_size`` new entries and when the
+        run ends, however it ends.
         """
         done = self._load_checkpoint()
-        for raw in self._envelopes():
-            try:
-                source_id, submitted, _ = parse_envelope(raw)
-            except ValueError as exc:
-                self.stats.skipped_malformed += 1
-                logger.warning("skipping malformed record: %s", exc)
-                continue
-            cached = self.cache.get(source_id)
-            digest = hashlib.sha256(raw).hexdigest()
-            if cached is not None and cached.content_digest == digest:
-                self.stats.cache_hits += 1
-                fetched_at = cached.fetched_at
-            else:
-                self.stats.cache_misses += 1
-                fetched_at = self.clock.now()
-                self.cache.put(source_id, submitted, raw, fetched_at)
-            if self.config.since is not None and submitted < self.config.since:
-                self.stats.filtered_out += 1
-                continue
-            if source_id in done:
-                self.stats.resumed_past += 1
-                continue
-            record = _record_from_envelope(raw, fetched_at)
-            done.add(source_id)
-            self._save_checkpoint(done)
-            self.stats.yielded += 1
-            yield record
+        try:
+            for raw in self._envelopes():
+                try:
+                    source_id, submitted, _ = parse_envelope(raw)
+                except ValueError as exc:
+                    self.stats.skipped_malformed += 1
+                    logger.warning("skipping malformed record: %s", exc)
+                    continue
+                cached = self.cache.get(source_id)
+                digest = hashlib.sha256(raw).hexdigest()
+                if cached is not None and cached.content_digest == digest:
+                    self.stats.cache_hits += 1
+                    fetched_at = cached.fetched_at
+                else:
+                    self.stats.cache_misses += 1
+                    fetched_at = self.clock.now()
+                    self.cache.add(source_id, submitted, raw, digest, fetched_at)
+                    if self.stats.cache_misses % self.config.page_size == 0:
+                        self.cache.flush()
+                if self.config.since is not None and submitted < self.config.since:
+                    self.stats.filtered_out += 1
+                    continue
+                if source_id in done:
+                    self.stats.resumed_past += 1
+                    continue
+                record = _record_from_envelope(raw, fetched_at)
+                done.add(source_id)
+                self._append_checkpoint(source_id)
+                self.stats.yielded += 1
+                yield record
+        finally:
+            self.cache.flush()
         self._clear_checkpoint()
 
     # -- checkpointing -----------------------------------------------------
 
     def _load_checkpoint(self) -> set[str]:
+        """The ids a previous run yielded: one JSON string per journal
+        line.  An unterminated last line is an append that never finished,
+        so its record was never yielded; it is cut off.  Any other damage
+        discards the journal with a warning."""
         path = self.checkpoint_path
         if path is None or not path.exists():
             return set()
+        data = path.read_bytes()
+        cut = data.rfind(b"\n") + 1
+        torn = data[cut:]
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            yielded = doc["yielded"]
-            if not isinstance(yielded, list):
-                raise TypeError("'yielded' must be a list")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            if torn and not torn.startswith(b'"'):
+                raise ValueError(f"unterminated line {torn[:40]!r}")
+            done = set()
+            for line in data[:cut].splitlines():
+                source_id = json.loads(line)
+                if not isinstance(source_id, str):
+                    raise TypeError(f"line {line[:40]!r} is not a JSON string")
+                done.add(source_id)
+        except (ValueError, TypeError) as exc:
             logger.warning("corrupt checkpoint %s (%s); starting over", path, exc)
+            path.unlink()
             return set()
-        return set(yielded)
+        if torn:
+            os.truncate(path, cut)
+        return done
 
-    def _save_checkpoint(self, done: set[str]) -> None:
+    def _append_checkpoint(self, source_id: str) -> None:
         if self.checkpoint_path is None:
             return
         self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-        self.checkpoint_path.write_text(
-            json.dumps({"yielded": sorted(done)}, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        with self.checkpoint_path.open("ab") as journal:
+            journal.write(json.dumps(source_id).encode("ascii") + b"\n")
 
     def _clear_checkpoint(self) -> None:
         if self.checkpoint_path is not None:

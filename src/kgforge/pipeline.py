@@ -28,7 +28,7 @@ from datetime import date
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .harvest import Harvester, HarvestStats, RawCache, SourceConfig
+from .harvest import CHECKPOINT_NAME, Harvester, HarvestStats, RawCache, SourceConfig
 from .jsonld import (
     JsonLdError,
     RawRecord,
@@ -54,7 +54,6 @@ from .vocab import load_table
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_NAME = "harvest.checkpoint.json"
 REPORT_NAME = "validation.json"
 STAGING_SUMMARY_NAME = "summary.json"
 
@@ -419,6 +418,8 @@ class LoadResult:
     inserted: int
     total: int
     graphs: int
+    #: The loaded store, for later stages of the same run.
+    store: Store = dataclasses.field(repr=False, compare=False)
 
 
 def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
@@ -448,7 +449,10 @@ def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
     store.persist(config.store_dir)
     stats = store.stats()
     return LoadResult(
-        inserted=inserted, total=stats.total_triples, graphs=stats.graph_count
+        inserted=inserted,
+        total=stats.total_triples,
+        graphs=stats.graph_count,
+        store=store,
     )
 
 
@@ -460,9 +464,15 @@ class ValidateResult:
     report_path: Path
 
 
-def stage_validate(config: PipelineConfig) -> ValidateResult:
-    """Validate the union graph of the store; writes the report file."""
-    store = Store.load(config.store_dir)
+def stage_validate(
+    config: PipelineConfig, *, store: Store | None = None
+) -> ValidateResult:
+    """Validate the union graph of the store; writes the report file.
+
+    ``store`` is the store as loaded earlier in the same run; without it
+    the persisted store is read from disk."""
+    if store is None:
+        store = Store.load(config.store_dir)
     shapes, patterns = load_shape_files(config)
     report = validate(store.triples(), shapes, patterns)
     violations = sum(1 for f in report.findings if f.severity == "violation")
@@ -479,10 +489,13 @@ def stage_validate(config: PipelineConfig) -> ValidateResult:
     )
 
 
-def stage_stats(config: PipelineConfig):
-    if not (config.store_dir / MANIFEST_NAME).exists():
-        raise StageError(f"no store at {config.store_dir}; run load first")
-    return Store.load(config.store_dir).stats()
+def stage_stats(config: PipelineConfig, *, store: Store | None = None):
+    """Statistics of ``store``, or of the persisted store without it."""
+    if store is None:
+        if not (config.store_dir / MANIFEST_NAME).exists():
+            raise StageError(f"no store at {config.store_dir}; run load first")
+        store = Store.load(config.store_dir)
+    return store.stats()
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +505,9 @@ def stage_stats(config: PipelineConfig):
 
 def run_pipeline(config: PipelineConfig, *, fresh: bool = False) -> dict:
     """Harvest, transform, load, validate, stats, in that order.
+
+    The store is parsed from disk once, by load, and handed on in memory
+    to validate and stats.
 
     Returns the machine-readable run summary.  Aborts at the first
     failing stage: the summary still reports completed stages, carries
@@ -524,7 +540,9 @@ def run_pipeline(config: PipelineConfig, *, fresh: bool = False) -> dict:
         summary["stages"]["load"].update(
             inserted=load.inserted, total=load.total, graphs=load.graphs
         )
-        validated = timed("validate", lambda: stage_validate(config))
+        validated = timed(
+            "validate", lambda: stage_validate(config, store=load.store)
+        )
         summary["stages"]["validate"].update(
             conforms=validated.report.conforms,
             findings=len(validated.report.findings),
@@ -536,7 +554,7 @@ def run_pipeline(config: PipelineConfig, *, fresh: bool = False) -> dict:
             summary["ok"] = False
             summary["failed_stage"] = "validate"
             return summary
-        stats = timed("stats", lambda: stage_stats(config))
+        stats = timed("stats", lambda: stage_stats(config, store=load.store))
         summary["stages"]["stats"].update(stats.to_json_dict())
     except Exception as exc:
         failed = _current_stage(summary)

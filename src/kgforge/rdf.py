@@ -231,11 +231,21 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
-def _read_term(sc: Scanner, allow_bnode: bool = True) -> Term:
+def _read_iri(sc: Scanner, iris: dict[str, Iri]) -> Iri:
+    """Read an IRIREF, validating and allocating each distinct IRI once
+    per ``iris`` cache (``Iri`` is immutable, so sharing is safe)."""
+    value = sc.read_iriref()
+    iri = iris.get(value)
+    if iri is None:
+        iri = iris[value] = Iri(value)
+    return iri
+
+
+def _read_term(sc: Scanner, iris: dict[str, Iri], allow_bnode: bool = True) -> Term:
     c = sc.peek()
     if c == "<":
         try:
-            return Iri(sc.read_iriref())
+            return _read_iri(sc, iris)
         except ValueError as exc:
             raise sc.error(str(exc)) from None
     if c == "_" and allow_bnode:
@@ -246,62 +256,56 @@ def _read_term(sc: Scanner, allow_bnode: bool = True) -> Term:
             return lang_literal(lexical, sc.read_langtag())
         if sc.try_consume("^^"):
             try:
-                return Literal(lexical, Iri(sc.read_iriref()))
+                return Literal(lexical, _read_iri(sc, iris))
             except ValueError as exc:
                 raise sc.error(str(exc)) from None
         return Literal(lexical)
     raise sc.error(f"expected RDF term, found {c!r}" if c else "unexpected end of line")
 
 
-def _parse_line_terms(line: str, lineno: int, max_terms: int) -> list[Term] | None:
-    sc = _RdfScanner(line, line_offset=lineno - 1)
-    sc.skip_ws()
-    if sc.at_end():
-        return None
-    terms: list[Term] = []
-    while not sc.try_consume("."):
-        if sc.at_end():
-            raise sc.error("statement not terminated by '.'")
-        if len(terms) == max_terms:
-            raise sc.error("too many terms in statement")
-        terms.append(_read_term(sc))
+def _parse_lines(text: str, max_terms: int) -> Iterator[tuple[list[Term], Scanner]]:
+    """The terms of each statement line, with the line's scanner for
+    errors raised after the terms are read; blank lines are skipped."""
+    iris: dict[str, Iri] = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        sc = _RdfScanner(line, line_offset=lineno - 1)
         sc.skip_ws()
-    sc.skip_ws()
-    if not sc.at_end():
-        raise sc.error("trailing characters after '.'")
-    if len(terms) < 3:
-        raise sc.error("statement has fewer than three terms")
-    return terms
+        if sc.at_end():
+            continue
+        terms: list[Term] = []
+        while not sc.try_consume("."):
+            if sc.at_end():
+                raise sc.error("statement not terminated by '.'")
+            if len(terms) == max_terms:
+                raise sc.error("too many terms in statement")
+            terms.append(_read_term(sc, iris))
+            sc.skip_ws()
+        sc.skip_ws()
+        if not sc.at_end():
+            raise sc.error("trailing characters after '.'")
+        if len(terms) < 3:
+            raise sc.error("statement has fewer than three terms")
+        sc.pos = 0  # errors about the statement as a whole point at its start
+        yield terms, sc
 
 
-def _make_triple(terms: list[Term], sc_error) -> Triple:
+def _make_triple(terms: list[Term], sc: Scanner) -> Triple:
     try:
         return Triple(terms[0], terms[1], terms[2])  # type: ignore[arg-type]
     except ValueError as exc:
-        raise sc_error(str(exc)) from None
+        raise sc.error(str(exc)) from None
 
 
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples text into a Graph (duplicates collapse)."""
-    triples = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        sc = _RdfScanner(line, line_offset=lineno - 1)
-        terms = _parse_line_terms(line, lineno, max_terms=3)
-        if terms is None:
-            continue
-        triples.append(_make_triple(terms, sc.error))
-    return Graph(triples)
+    return Graph(_make_triple(terms, sc) for terms, sc in _parse_lines(text, 3))
 
 
 def parse_nquads(text: str) -> list[Quad]:
     """Parse N-Quads text; the fourth (graph) term is optional per statement."""
     quads = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        sc = _RdfScanner(line, line_offset=lineno - 1)
-        terms = _parse_line_terms(line, lineno, max_terms=4)
-        if terms is None:
-            continue
-        triple = _make_triple(terms[:3], sc.error)
+    for terms, sc in _parse_lines(text, 4):
+        triple = _make_triple(terms, sc)
         graph = None
         if len(terms) == 4:
             if not isinstance(terms[3], Iri):

@@ -14,6 +14,7 @@ import threading
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import parse_qs, urlparse
 
@@ -36,6 +37,14 @@ def envelope(i: int, *, submitted: str = "2014-06-03") -> dict:
         "submitted": submitted,
         "metadata": {"@type": "Dataset", "name": f"Record {i}"},
     }
+
+
+def write_journal(path, ids) -> None:
+    path.write_text("".join(json.dumps(i) + "\n" for i in ids))
+
+
+def read_journal(path) -> list[str]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def write_corpus(directory, envelopes) -> None:
@@ -297,8 +306,7 @@ class TestCheckpoint:
         seen = []
         for record in gen:
             seen.append(record.source_id)
-            doc = json.loads((tmp_path / "harvest.checkpoint.json").read_text())
-            assert sorted(seen) == doc["yielded"]
+            assert read_journal(tmp_path / "harvest.checkpoint.json") == seen
         gen.close()
 
     def test_completed_run_clears_checkpoint(self, tmp_path):
@@ -309,9 +317,7 @@ class TestCheckpoint:
     def test_completed_checkpoint_resumes_to_nothing(self, tmp_path):
         envelopes = [envelope(i) for i in range(5)]
         all_ids = [f"10.14272/KEY{i:04d}/Raman" for i in range(5)]
-        (tmp_path / "harvest.checkpoint.json").write_text(
-            json.dumps({"yielded": all_ids})
-        )
+        write_journal(tmp_path / "harvest.checkpoint.json", all_ids)
         h = directory_harvester(tmp_path, envelopes)
         assert list(h.records()) == []
         assert h.stats.resumed_past == 5
@@ -327,12 +333,85 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("body", ['{"wrong": []}', '{"yielded": 3}'])
     def test_wrong_shape_checkpoint_also_restarts(self, tmp_path, body, caplog):
+        # A complete journal line that is JSON but not a string.
         envelopes = [envelope(i) for i in range(3)]
-        (tmp_path / "harvest.checkpoint.json").write_text(body)
+        (tmp_path / "harvest.checkpoint.json").write_text(
+            json.dumps("10.14272/KEY0000/Raman") + "\n" + body + "\n"
+        )
         h = directory_harvester(tmp_path, envelopes)
         with caplog.at_level("WARNING", logger="kgforge.harvest"):
             assert len(list(h.records())) == 3
         assert "corrupt checkpoint" in caplog.text
+
+    def test_torn_last_line_is_ignored_on_resume(self, tmp_path, caplog):
+        envelopes = [envelope(i) for i in range(5)]
+        ids = [f"10.14272/KEY{i:04d}/Raman" for i in range(5)]
+        path = tmp_path / "harvest.checkpoint.json"
+        # Two appends finished; the third stopped before its newline, so
+        # its record was never yielded.
+        write_journal(path, ids[:2])
+        with path.open("a") as f:
+            f.write(json.dumps(ids[2])[:-3])
+        h = directory_harvester(tmp_path, envelopes)
+        gen = h.records()
+        with caplog.at_level("WARNING", logger="kgforge.harvest"):
+            assert next(gen).source_id == ids[2]
+        assert "corrupt checkpoint" not in caplog.text
+        # The torn fragment is cut off before the journal grows again.
+        assert read_journal(path) == ids[:3]
+        assert [r.source_id for r in gen] == ids[3:]
+        assert h.stats.resumed_past == 2
+
+    def test_old_whole_file_checkpoint_restarts_with_warning(self, tmp_path, caplog):
+        envelopes = [envelope(i) for i in range(3)]
+        (tmp_path / "harvest.checkpoint.json").write_text(
+            json.dumps({"yielded": ["10.14272/KEY0000/Raman"]}, indent=2) + "\n"
+        )
+        h = directory_harvester(tmp_path, envelopes)
+        with caplog.at_level("WARNING", logger="kgforge.harvest"):
+            assert len(list(h.records())) == 3
+        assert "corrupt checkpoint" in caplog.text
+
+
+class TestLinearBookkeeping:
+    """Harvest writes grow linearly with the records it adds, counted in
+    writes and bytes rather than timed."""
+
+    def test_index_written_once_per_page_and_at_the_end(self, tmp_path, monkeypatch):
+        n, page_size = 250, 100
+        write_corpus(tmp_path / "source", [envelope(i) for i in range(n)])
+        config = SourceConfig(
+            base_url=str(tmp_path / "source"), mode="directory", page_size=page_size
+        )
+        writes = []
+        original = Path.write_text
+
+        def counting_write_text(self, *args, **kwargs):
+            if self.name == "index.json":
+                writes.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", counting_write_text)
+        h = Harvester(config, RawCache(tmp_path / "cache"))
+        assert len(list(h.records())) == n
+        assert 1 <= len(writes) <= -(-n // page_size) + 1
+        assert len(RawCache(tmp_path / "cache")) == n
+
+    def test_checkpoint_bytes_grow_linearly(self, tmp_path):
+        envelopes = [envelope(i) for i in range(40)]
+        h = directory_harvester(tmp_path, envelopes)
+        path = tmp_path / "harvest.checkpoint.json"
+        sizes = [path.stat().st_size for _ in h.records()]
+        line = len(json.dumps("10.14272/KEY0000/Raman")) + 1
+        assert sizes == [line * k for k in range(1, 41)]
+
+    def test_closing_early_still_writes_the_index(self, tmp_path):
+        h = directory_harvester(tmp_path, [envelope(i) for i in range(30)])
+        gen = h.records()
+        consumed = list(itertools.islice(gen, 7))
+        gen.close()
+        index = RawCache(tmp_path / "cache")
+        assert all(r.source_id in index for r in consumed)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,28 @@ class TestStages:
         assert summary["stages"]["load"]["inserted"] == load.inserted
         assert snapshot_dir(run_work / "store") == snapshot_dir(seq_work / "store")
 
+    def test_run_parses_the_store_once(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path)
+        loads = []
+        original = Store.load.__func__
+
+        def counting_load(cls, directory):
+            loads.append(directory)
+            return original(cls, directory)
+
+        monkeypatch.setattr(Store, "load", classmethod(counting_load))
+        summary = run_pipeline(cfg, fresh=True)
+        assert summary["ok"] is True
+        assert len(loads) == 1
+        # Validate and stats called alone still read the persisted store,
+        # and see what the run saw in memory.
+        report = json.loads(cfg.report_path.read_text())
+        assert stage_validate(cfg).report.to_json_dict() == report
+        assert stage_stats(cfg).to_json_dict() == {
+            k: v for k, v in summary["stages"]["stats"].items() if k != "seconds"
+        }
+        assert len(loads) == 3
+
     def test_failed_stage_names_itself(self, tmp_path):
         doc = config_doc(tmp_path)
         doc["source"]["base_url"] = str(tmp_path / "missing-dir")

@@ -190,6 +190,21 @@ class TestNQuads:
         text = (GOLDENS / "three_graphs.nq").read_text()
         assert serialize_nquads(parse_nquads(text)) == text
 
+    def test_iris_are_shared_within_one_parse_only(self):
+        text = (
+            '<http://a/s> <http://a/p> "x" <http://g/1> .\n'
+            '<http://a/s> <http://a/p> "y"^^<http://a/p> <http://g/1> .\n'
+        )
+        a, b = parse_nquads(text)
+        assert a.triple.subject is b.triple.subject
+        assert a.triple.predicate is b.triple.predicate is b.triple.object.datatype
+        assert a.graph is b.graph
+        # The cache lives for one call, so a long-running process does not
+        # accumulate every IRI it has ever parsed.
+        again, _ = parse_nquads(text)
+        assert again.triple.subject == a.triple.subject
+        assert again.triple.subject is not a.triple.subject
+
     def test_literal_graph_term_rejected(self):
         with pytest.raises(ParseError):
             parse_nquads('<http://a/s> <http://a/p> "x" "g" .')
