@@ -7,9 +7,11 @@ LIMIT and OFFSET; everything else named in the SPARQL grammar is
 rejected at parse time with a message naming the feature.
 
 The HTTP server serves an immutable snapshot of the store.  ``refresh``
-loads a new snapshot from disk and swaps it in atomically, so requests
-see either the old corpus or the new one, never a mixture; requests that
-arrive before the first snapshot exists get 503.
+loads a new snapshot from disk, indexes its union graph, computes its
+``/stats`` document and only then swaps it in atomically, so requests
+see either the old corpus or the new one, never a mixture, and none
+waits for that set-up; requests that arrive before the first snapshot
+exists get 503.
 
 Routes:
 
@@ -274,10 +276,6 @@ def _term_json(term: Term) -> dict:
     return doc
 
 
-def _scoped(store: Store, graph: Iri | None) -> Graph:
-    return store.triples(graph)
-
-
 def _solution_order(solutions, order_by: str | None):
     """Canonical, deterministic row order.
 
@@ -298,7 +296,7 @@ def _solution_order(solutions, order_by: str | None):
 
 
 def execute_select(store: Store, query: SelectQuery) -> SelectResult:
-    solutions = eval_bgp(_scoped(store, query.graph), query.where)
+    solutions = eval_bgp(store.triples(query.graph), query.where)
     ordered = _solution_order(solutions, query.order_by)
     if query.offset:
         ordered = ordered[query.offset :]
@@ -312,11 +310,11 @@ def execute_select(store: Store, query: SelectQuery) -> SelectResult:
 
 
 def execute_ask(store: Store, query: AskQuery) -> bool:
-    return bool(eval_bgp(_scoped(store, query.graph), query.where))
+    return bool(eval_bgp(store.triples(query.graph), query.where))
 
 
 def execute_construct(store: Store, query: ConstructQuery) -> Graph:
-    return apply_rule(_scoped(store, query.graph), query.rule)
+    return apply_rule(store.triples(query.graph), query.rule)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +322,24 @@ def execute_construct(store: Store, query: ConstructQuery) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _json_body(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+@dataclass(frozen=True, slots=True)
+class Snapshot:
+    """One loaded store and the ``/stats`` body computed from it."""
+
+    store: Store
+    stats_body: bytes
+
+
 class EndpointServer:
     """Snapshot-serving HTTP endpoint; read-only by construction."""
 
     def __init__(self, store_dir: Path | str, host: str = "127.0.0.1", port: int = 0):
         self.store_dir = Path(store_dir)
-        self.snapshot: Store | None = None
+        self.snapshot: Snapshot | None = None
         self._swap = threading.Lock()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.endpoint = self
@@ -346,8 +356,11 @@ class EndpointServer:
         return f"http://{host}:{port}"
 
     def refresh(self) -> None:
-        """Load the persisted store and swap it in atomically."""
-        snapshot = Store.load(self.store_dir)
+        """Load the persisted store, build its union view and its
+        statistics, and swap it in atomically."""
+        store = Store.load(self.store_dir)
+        store.triples()
+        snapshot = Snapshot(store, _json_body(store.stats().to_json_dict()))
         with self._swap:
             self.snapshot = snapshot
 
@@ -371,24 +384,29 @@ class EndpointServer:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm on,
+    # the body would wait for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
 
     def log_message(self, *args) -> None:
         pass
 
-    def _reply(self, status: int, content_type: str, body: bytes) -> None:
+    def _reply(self, status: int, content_type: str, body: bytes, *, close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _json(self, doc: dict, status: int = 200, content_type: str = "application/json") -> None:
-        self._reply(status, content_type, (json.dumps(doc, indent=2) + "\n").encode())
+        self._reply(status, content_type, _json_body(doc))
 
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, "text/plain; charset=utf-8", (message + "\n").encode())
+    def _error(self, status: int, message: str, *, close: bool = False) -> None:
+        self._reply(status, "text/plain; charset=utf-8", (message + "\n").encode(), close=close)
 
     def _acceptable(self, produced: str) -> bool:
         accept = self.headers.get("Accept")
@@ -416,11 +434,11 @@ class _Handler(BaseHTTPRequestHandler):
             if len(queries) != 1:
                 self._error(400, "exactly one 'query' parameter is required")
                 return
-            self._run_query(snapshot, queries[0])
+            self._run_query(snapshot.store, queries[0])
         elif parsed.path == "/stats":
-            self._json(snapshot.stats().to_json_dict())
+            self._reply(200, "application/json", snapshot.stats_body)
         elif parsed.path.startswith("/export/"):
-            self._export(snapshot, parsed.path)
+            self._export(snapshot.store, parsed.path)
         else:
             self._error(404, f"unknown path: {parsed.path}")
 
@@ -433,8 +451,17 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path != "/sparql":
             self._error(404, f"unknown path: {parsed.path}")
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8")
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            # The body's end is unknown, so the connection cannot carry
+            # another request.
+            self._error(400, f"invalid Content-Length: {declared!r}", close=True)
+            return
+        try:
+            body = self.rfile.read(int(declared)).decode("utf-8")
+        except UnicodeDecodeError:
+            self._error(400, "request body is not valid UTF-8")
+            return
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
         if content_type == "application/sparql-query":
             query_text = body
@@ -445,7 +472,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(400, "exactly one 'query' form field is required")
                 return
             query_text = queries[0]
-        self._run_query(snapshot, query_text)
+        self._run_query(snapshot.store, query_text)
 
     # -- helpers -----------------------------------------------------------
 

@@ -334,10 +334,7 @@ def _read_pattern_term(
     if c == "?":
         return Variable(sc.read_var_name())
     if c == "<":
-        try:
-            return Iri(sc.read_iriref())
-        except ValueError as exc:
-            raise sc.error(str(exc)) from None
+        return _read_iri_or_pname(sc, prefixes)
     if c == "[":
         raise sc.error("unsupported feature: blank node property list")
     if c == "(":
@@ -367,12 +364,14 @@ def _read_pattern_term(
 
 def _read_iri_or_pname(sc: Scanner, prefixes: Mapping[str, str]) -> Iri:
     if sc.peek() == "<":
-        return Iri(sc.read_iriref())
-    prefix, local = sc.read_pname()
-    if prefix not in prefixes:
-        raise sc.error(f"unknown prefix: {prefix!r}")
+        value = sc.read_iriref()
+    else:
+        prefix, local = sc.read_pname()
+        if prefix not in prefixes:
+            raise sc.error(f"unknown prefix: {prefix!r}")
+        value = prefixes[prefix] + local
     try:
-        return Iri(prefixes[prefix] + local)
+        return Iri(value)
     except ValueError as exc:
         raise sc.error(str(exc)) from None
 

@@ -173,12 +173,20 @@ def quad_sort_key(q: Quad) -> tuple:
 
 
 class Graph:
-    """An immutable set of triples."""
+    """An immutable set of triples, indexed by subject, predicate and
+    object.
 
-    __slots__ = ("_triples",)
+    The three maps are built on the first ``match`` with a bound
+    position: graphs made in passing (``union`` in a transform) are
+    never looked up, and the set never changes, so the maps never go
+    stale.
+    """
+
+    __slots__ = ("_triples", "_maps")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples = frozenset(triples)
+        self._maps: tuple[dict, dict, dict] | None = None
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -208,15 +216,50 @@ class Graph:
         predicate: Iri | None = None,
         obj: Term | None = None,
     ) -> Iterator[Triple]:
-        """Triples matching the given positions; ``None`` is a wildcard."""
-        for t in self._triples:
-            if subject is not None and t.subject != subject:
-                continue
-            if predicate is not None and t.predicate != predicate:
-                continue
-            if obj is not None and t.object != obj:
-                continue
-            yield t
+        """Triples matching the given positions; ``None`` is a wildcard.
+
+        A bound position narrows the candidates to its map entry, the
+        shortest one when several are bound; the final position check
+        applies to every candidate, so the choice of map can change
+        only the speed, never the result.
+        """
+        bound = [
+            (position, term)
+            for position, term in enumerate((subject, predicate, obj))
+            if term is not None
+        ]
+        if not bound:
+            return iter(self)
+        maps = self._index()
+        candidates = min(
+            (maps[position].get(term, ()) for position, term in bound), key=len
+        )
+        return (
+            t
+            for t in candidates
+            if (subject is None or t.subject == subject)
+            and (predicate is None or t.predicate == predicate)
+            and (obj is None or t.object == obj)
+        )
+
+    def _index(self) -> tuple[dict, dict, dict]:
+        """The subject, predicate and object maps, built on first use.
+
+        The maps are published in one attribute store, so a graph
+        shared between threads is never seen half-indexed; two threads
+        racing on the first lookup build equal maps.
+        """
+        maps = self._maps
+        if maps is None:
+            by_s: dict[Subject, list[Triple]] = {}
+            by_p: dict[Iri, list[Triple]] = {}
+            by_o: dict[Term, list[Triple]] = {}
+            for t in self._triples:
+                by_s.setdefault(t.subject, []).append(t)
+                by_p.setdefault(t.predicate, []).append(t)
+                by_o.setdefault(t.object, []).append(t)
+            maps = self._maps = (by_s, by_p, by_o)
+        return maps
 
     def subjects_of_type(self, cls: Iri) -> set[Subject]:
         rdf_type = Iri(RDF_TYPE)
@@ -237,17 +280,17 @@ def _read_iri(sc: Scanner, iris: dict[str, Iri]) -> Iri:
     value = sc.read_iriref()
     iri = iris.get(value)
     if iri is None:
-        iri = iris[value] = Iri(value)
+        try:
+            iri = iris[value] = Iri(value)
+        except ValueError as exc:
+            raise sc.error(str(exc)) from None
     return iri
 
 
 def _read_term(sc: Scanner, iris: dict[str, Iri], allow_bnode: bool = True) -> Term:
     c = sc.peek()
     if c == "<":
-        try:
-            return _read_iri(sc, iris)
-        except ValueError as exc:
-            raise sc.error(str(exc)) from None
+        return _read_iri(sc, iris)
     if c == "_" and allow_bnode:
         return BlankNode(sc.read_bnode_label())
     if c == '"':
@@ -255,8 +298,9 @@ def _read_term(sc: Scanner, iris: dict[str, Iri], allow_bnode: bool = True) -> T
         if sc.peek() == "@":
             return lang_literal(lexical, sc.read_langtag())
         if sc.try_consume("^^"):
+            datatype = _read_iri(sc, iris)
             try:
-                return Literal(lexical, _read_iri(sc, iris))
+                return Literal(lexical, datatype)
             except ValueError as exc:
                 raise sc.error(str(exc)) from None
         return Literal(lexical)
@@ -401,8 +445,9 @@ def parse_turtle_subset(text: str) -> Graph:
         if c == "(":
             raise sc.error("unsupported collection")
         if c == "<":
+            value = sc.read_iriref()
             try:
-                return Iri(sc.read_iriref())
+                return Iri(value)
             except ValueError as exc:
                 raise sc.error(str(exc)) from None
         if c == "_" and sc.peek(1) == ":":

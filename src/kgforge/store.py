@@ -1,7 +1,10 @@
 """The quad store: submission-date named graphs with idempotent loads.
 
-Quads live in memory in one set plus three index permutations;
-persistence is one canonical N-Quads file per named graph under
+Quads live in memory in one set plus one graph -> subject index.
+Lookups by predicate or object go through triple views
+(``Store.triples``): one indexed ``Graph`` per named graph and one for
+their union, built on first use and kept until a load inserts a quad.
+Persistence is one canonical N-Quads file per named graph under
 ``graphs/`` next to a ``manifest.json``.  Serialization is canonical, so
 persisting an unchanged store rewrites byte-identical files, and a
 repeated load of the same batch is a no-op that leaves no trace in the
@@ -75,12 +78,11 @@ class Store:
 
     def __init__(self) -> None:
         self._quads: set[Quad] = set()
-        # graph -> subject -> quads; predicate -> object -> quads;
-        # object -> subject -> quads.  Together these serve every lookup
-        # the join engine and the endpoint issue without a full scan.
+        # graph -> subject -> quads: serves persistence, per-graph
+        # counts and the per-graph views.
         self._gspo: dict[Iri, dict[Subject, set[Quad]]] = {}
-        self._pos: dict[Iri, dict[Term, set[Quad]]] = {}
-        self._osp: dict[Term, dict[Subject, set[Quad]]] = {}
+        # graph (None: the union) -> indexed triple view.
+        self._views: dict[Iri | None, Graph] = {}
         self._manifest: dict[Iri, _GraphEntry] = {}
 
     # -- basic views ---------------------------------------------------
@@ -104,11 +106,25 @@ class Store:
         return self._manifest[graph]
 
     def triples(self, graph: Iri | None = None) -> Graph:
-        """Triples of one graph, or of the union of all graphs."""
-        if graph is None:
-            return Graph(q.triple for q in self._quads)
-        subjects = self._gspo.get(graph, {})
-        return Graph(q.triple for quads in subjects.values() for q in quads)
+        """Triples of one graph, or of the union of all graphs.
+
+        The view is built and indexed on first use and the same object
+        is returned until a load inserts a quad.  Building is
+        idempotent, so threads reading one store may race on it; an
+        unknown graph gets an empty view that is not kept.
+        """
+        view = self._views.get(graph)
+        if view is None:
+            if graph is None:
+                view = Graph(q.triple for q in self._quads)
+            elif graph in self._gspo:
+                by_subject = self._gspo[graph]
+                view = Graph(q.triple for quads in by_subject.values() for q in quads)
+            else:
+                return Graph()
+            view._index()
+            self._views[graph] = view
+        return view
 
     # -- ingestion -----------------------------------------------------
 
@@ -132,6 +148,7 @@ class Store:
             if self._insert(quad):
                 inserted_per_graph[quad.graph] = inserted_per_graph.get(quad.graph, 0) + 1
         if inserted_per_graph:
+            self._views.clear()
             stamp = (loaded_at or datetime.now(timezone.utc)).isoformat()
             for graph, inserted in inserted_per_graph.items():
                 entry = self._manifest[graph]
@@ -148,15 +165,15 @@ class Store:
         return sum(inserted_per_graph.values())
 
     def _insert(self, quad: Quad) -> bool:
-        if quad in self._quads:
-            return False
+        # One hash of the quad decides novelty: ``add`` leaves the size
+        # unchanged for a quad already present.
+        size = len(self._quads)
         self._quads.add(quad)
-        t = quad.triple
+        if len(self._quads) == size:
+            return False
         if quad.graph not in self._manifest:
             self._manifest[quad.graph] = _GraphEntry(filename=graph_filename(quad.graph))
-        self._gspo.setdefault(quad.graph, {}).setdefault(t.subject, set()).add(quad)
-        self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(quad)
-        self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(quad)
+        self._gspo.setdefault(quad.graph, {}).setdefault(quad.triple.subject, set()).add(quad)
         return True
 
     # -- lookup ----------------------------------------------------------
@@ -170,40 +187,11 @@ class Store:
     ) -> Iterator[Quad]:
         """All quads matching the bound positions; ``None`` is a wildcard.
 
-        An index narrows the candidates; the final position check is
-        applied uniformly so the choice of index can never change the
-        result, only the speed.
+        Each named graph's triple view answers for its own quads.
         """
-        candidates = self._candidates(subject, predicate, obj, graph)
-        for quad in candidates:
-            t = quad.triple
-            if subject is not None and t.subject != subject:
-                continue
-            if predicate is not None and t.predicate != predicate:
-                continue
-            if obj is not None and t.object != obj:
-                continue
-            if graph is not None and quad.graph != graph:
-                continue
-            yield quad
-
-    def _candidates(self, subject, predicate, obj, graph) -> Iterable[Quad]:
-        if graph is not None and subject is not None:
-            return self._gspo.get(graph, {}).get(subject, ())
-        if predicate is not None and obj is not None:
-            return self._pos.get(predicate, {}).get(obj, ())
-        if obj is not None:
-            if subject is not None:
-                return self._osp.get(obj, {}).get(subject, ())
-            by_subject = self._osp.get(obj, {})
-            return (q for quads in by_subject.values() for q in quads)
-        if graph is not None:
-            by_subject = self._gspo.get(graph, {})
-            return (q for quads in by_subject.values() for q in quads)
-        if predicate is not None:
-            by_object = self._pos.get(predicate, {})
-            return (q for quads in by_object.values() for q in quads)
-        return self._quads
+        for g in self._gspo if graph is None else (graph,):
+            for t in self.triples(g).match(subject, predicate, obj):
+                yield Quad(t, g)
 
     # -- statistics ------------------------------------------------------
 

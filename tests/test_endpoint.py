@@ -8,6 +8,7 @@ have something to distinguish.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.parse
@@ -146,6 +147,8 @@ class TestParseQuery:
             ("DESCRIBE <http://example.org/a>", "expected SELECT, ASK, or CONSTRUCT"),
             ("SELECT ?s WHERE { ?s ?p ?o . { ?a ?b ?c } }", "nested group"),
             ("PREFIX ex <http://example.org/> SELECT ?s WHERE { ?s ?p ?o }", "prefix"),
+            ("SELECT ?s WHERE { GRAPH <g> { ?s ?p ?o } }", "not an absolute IRI"),
+            ('SELECT ?s WHERE { ?s ?p "1"^^<int> }', "not an absolute IRI"),
         ],
     )
     def test_rejections_name_the_problem(self, text, message):
@@ -477,6 +480,49 @@ class TestHttp:
             assert json.loads(body)["total_triples"] == 2
         finally:
             server.stop()
+
+    def test_stats_computed_once_per_snapshot(self, tmp_path, monkeypatch):
+        calls = []
+        stats = Store.stats
+        monkeypatch.setattr(Store, "stats", lambda store: calls.append(store) or stats(store))
+        store = Store()
+        store.load_quads([Quad(Triple(iri("a"), iri("p"), iri("b")), G1)])
+        store.persist(tmp_path / "store")
+        server = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        server.refresh()
+        server.start()
+        try:
+            bodies = {get(server, "/stats")[2] for _ in range(3)}
+        finally:
+            server.stop()
+        assert len(calls) == 1
+        assert bodies == {(json.dumps(stats(store).to_json_dict(), indent=2) + "\n").encode()}
+
+    @pytest.mark.parametrize(
+        "headers, body, message",
+        [
+            ({"Content-Length": "abc"}, b"query=ASK", "invalid Content-Length"),
+            ({"Content-Length": "-1"}, b"query=ASK", "invalid Content-Length"),
+            ({"Content-Length": "3"}, b"\xff\xfe\xfd", "not valid UTF-8"),
+            (
+                {"Content-Length": "4", "Content-Type": "application/sparql-query"},
+                b"AS\xc3K",
+                "not valid UTF-8",
+            ),
+        ],
+        ids=["non-numeric-length", "negative-length", "non-utf8-form", "non-utf8-query"],
+    )
+    def test_bad_post_body_400(self, served, headers, body, message):
+        conn = http.client.HTTPConnection(*served.address, timeout=10)
+        try:
+            conn.request("POST", "/sparql", body=body, headers=headers)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert message in response.read().decode()
+        finally:
+            conn.close()
+        status, _, _ = get(served, "/stats")
+        assert status == 200
 
     def test_read_only_no_update_route(self, served):
         data = urllib.parse.urlencode(

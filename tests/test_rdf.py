@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from kgforge.rdf import (
     serialize_ntriples,
 )
 
+from . import oracle
 from .strategies import graphs, quads, terms
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -271,6 +273,39 @@ class TestGraph:
         )
         assert len(list(g.match(predicate=Iri("http://a/p")))) == 2
         assert len(list(g.match(subject=Iri("http://a/s")))) == 1
+
+    @pytest.mark.parametrize(
+        "bound", list(itertools.product([False, True], repeat=3)), ids=str
+    )
+    @given(
+        st.lists(
+            st.builds(
+                Triple,
+                st.sampled_from(oracle.SUBJECTS),
+                st.sampled_from(oracle.PREDICATES),
+                st.sampled_from(oracle.OBJECTS),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from(oracle.SUBJECTS),
+        st.sampled_from(oracle.PREDICATES),
+        st.sampled_from(oracle.OBJECTS),
+    )
+    @settings(max_examples=40)
+    def test_match_equals_brute_force_filter(self, bound, triples, s, p, o):
+        g = Graph(triples)
+        s, p, o = (term if on else None for term, on in zip((s, p, o), bound))
+        want = {
+            t
+            for t in iter(g)
+            if (s is None or t.subject == s)
+            and (p is None or t.predicate == p)
+            and (o is None or t.object == o)
+        }
+        for _ in range(2):  # before and after the maps exist
+            got = list(g.match(s, p, o))
+            assert len(got) == len(set(got)), "a triple was yielded twice"
+            assert set(got) == want
 
     def test_quad_graph_must_be_iri(self):
         t = Triple(Iri("http://a/s"), Iri("http://a/p"), Literal("x"))

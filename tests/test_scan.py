@@ -67,22 +67,22 @@ TERMS = {
     "newline-in-string": ('"abc\ndef"', False),
 }
 
-# Errors raised inside an IRI pass through the ValueError handler around
-# ``Iri(...)`` in each term reader, which appends the position once more;
-# the doubled suffix is the current wording and is pinned as such.
+# Lexer errors inside an IRI reach the caller as raised: the term
+# readers wrap only the ``Iri(...)`` construction, so the position
+# suffix appears once.
 PINS = [
-    ("illegal-iri-char", "nquads", "illegal character ' ' in IRI (line 2, column 53) (line 2, column 53)", 2, 53),
-    ("illegal-iri-char", "turtle", "illegal character ' ' in IRI (line 2, column 27) (line 2, column 27)", 2, 27),
-    ("illegal-iri-char", "rule", "illegal character ' ' in IRI (line 2, column 46) (line 2, column 46)", 2, 46),
-    ("illegal-iri-char", "query", "illegal character ' ' in IRI (line 2, column 46) (line 2, column 46)", 2, 46),
-    ("unterminated-iri", "nquads", "unterminated IRI (line 2, column 55) (line 2, column 55)", 2, 55),
-    ("unterminated-iri", "turtle", "unterminated IRI (line 2, column 29) (line 2, column 29)", 2, 29),
-    ("unterminated-iri", "rule", "unterminated IRI (line 2, column 48) (line 2, column 48)", 2, 48),
-    ("unterminated-iri", "query", "unterminated IRI (line 2, column 48) (line 2, column 48)", 2, 48),
-    ("bad-u-escape-iri", "nquads", "malformed \\u escape (line 2, column 52) (line 2, column 52)", 2, 52),
-    ("bad-u-escape-iri", "turtle", "malformed \\u escape (line 2, column 26) (line 2, column 26)", 2, 26),
-    ("bad-u-escape-iri", "rule", "malformed \\u escape (line 2, column 45) (line 2, column 45)", 2, 45),
-    ("bad-u-escape-iri", "query", "malformed \\u escape (line 2, column 45) (line 2, column 45)", 2, 45),
+    ("illegal-iri-char", "nquads", "illegal character ' ' in IRI (line 2, column 53)", 2, 53),
+    ("illegal-iri-char", "turtle", "illegal character ' ' in IRI (line 2, column 27)", 2, 27),
+    ("illegal-iri-char", "rule", "illegal character ' ' in IRI (line 2, column 46)", 2, 46),
+    ("illegal-iri-char", "query", "illegal character ' ' in IRI (line 2, column 46)", 2, 46),
+    ("unterminated-iri", "nquads", "unterminated IRI (line 2, column 55)", 2, 55),
+    ("unterminated-iri", "turtle", "unterminated IRI (line 2, column 29)", 2, 29),
+    ("unterminated-iri", "rule", "unterminated IRI (line 2, column 48)", 2, 48),
+    ("unterminated-iri", "query", "unterminated IRI (line 2, column 48)", 2, 48),
+    ("bad-u-escape-iri", "nquads", "malformed \\u escape (line 2, column 52)", 2, 52),
+    ("bad-u-escape-iri", "turtle", "malformed \\u escape (line 2, column 26)", 2, 26),
+    ("bad-u-escape-iri", "rule", "malformed \\u escape (line 2, column 45)", 2, 45),
+    ("bad-u-escape-iri", "query", "malformed \\u escape (line 2, column 45)", 2, 45),
     ("bad-u-escape-string", "nquads", "malformed \\u escape (line 2, column 41)", 2, 41),
     ("bad-u-escape-string", "turtle", "malformed \\u escape (line 2, column 15)", 2, 15),
     ("bad-u-escape-string", "rule", "malformed \\u escape (line 2, column 34)", 2, 34),

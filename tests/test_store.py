@@ -3,18 +3,22 @@ linear-scan oracle, statistics, and the persisted directory layout."""
 
 from __future__ import annotations
 
+import itertools
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from kgforge.rdf import RDF_TYPE, Graph, Iri, Literal, Quad, Triple
+from kgforge.endpoint import execute_select, parse_query
+from kgforge.rdf import RDF_TYPE, Graph, Iri, Literal, Quad, Triple, parse_ntriples
 from kgforge.store import CorruptManifest, Store, graph_filename
+from kgforge.validation import load_shapes, validate_shapes
 
 from . import oracle
 
 EX = "http://example.org/"
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def ex(local: str) -> Iri:
@@ -131,8 +135,61 @@ class TestMatch:
         }
         assert set(got) == want
 
+    @pytest.mark.parametrize(
+        "bound", list(itertools.product([False, True], repeat=4)), ids=str
+    )
+    @given(
+        _quad_sets,
+        _quad_sets,
+        st.sampled_from(oracle.SUBJECTS),
+        st.sampled_from(oracle.PREDICATES),
+        st.sampled_from(oracle.OBJECTS),
+        _graph_iris,
+    )
+    @settings(max_examples=25)
+    def test_match_equals_brute_force_filter(self, bound, first, second, s, p, o, g):
+        # Two loads, with lookups between them, so that views built
+        # after the first load are dropped by the second.
+        store = Store()
+        store.load_quads(first, loaded_at=T1)
+        list(store.match(s, p, o, g))
+        store.load_quads(second, loaded_at=T2)
+        s, p, o, g = (term if on else None for term, on in zip((s, p, o, g), bound))
+        want = {
+            q
+            for q in iter(store)
+            if (s is None or q.triple.subject == s)
+            and (p is None or q.triple.predicate == p)
+            and (o is None or q.triple.object == o)
+            and (g is None or q.graph == g)
+        }
+        got = list(store.match(s, p, o, g))
+        assert len(got) == len(set(got)), "a quad was yielded twice"
+        assert set(got) == want
+
 
 class TestTriplesView:
+    @pytest.mark.parametrize("graph", [None, G_MAY])
+    def test_view_is_built_once(self, graph):
+        store = store_with(Q1, Q2, Q3)
+        assert store.triples(graph) is store.triples(graph)
+
+    @pytest.mark.parametrize("graph", [None, G_MAY])
+    def test_inserting_load_yields_a_new_view(self, graph):
+        store = store_with(Q1, Q3)
+        before = store.triples(graph)
+        store.load_quads([Q2], loaded_at=T2)
+        after = store.triples(graph)
+        assert Q2.triple not in before
+        assert Q2.triple in after
+
+    @pytest.mark.parametrize("graph", [None, G_MAY])
+    def test_replay_keeps_the_view(self, graph):
+        store = store_with(Q1, Q2, Q3)
+        before = store.triples(graph)
+        assert store.load_quads([Q1, Q2, Q3], loaded_at=T2) == 0
+        assert store.triples(graph) is before
+
     def test_union_deduplicates_across_graphs(self):
         shared = Triple(ex("d"), ex("p"), Literal("x"))
         store = store_with(Quad(shared, G_MAY), Quad(shared, G_JUNE))
@@ -141,6 +198,61 @@ class TestTriplesView:
 
     def test_unknown_graph_is_empty(self):
         assert store_with(Q1).triples(G_JUNE) == Graph()
+
+
+class _Walked(frozenset):
+    """A triple set that logs its size each time it is walked."""
+
+    log: list[int]
+
+    def __iter__(self):
+        self.log.append(len(self))
+        return super().__iter__()
+
+
+class TestLookupsUseTheIndex:
+    """Bound lookups read the views' maps: once the union view is built,
+    a bound-subject SELECT and the shape checks walk no triple set.
+    Counted, not timed."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch) -> list[int]:
+        log: list[int] = []
+        init = Graph.__init__
+
+        def logging_init(graph, triples=()):
+            init(graph, triples)
+            graph._triples = _Walked(graph._triples)
+            graph._triples.log = log
+
+        monkeypatch.setattr(Graph, "__init__", logging_init)
+        return log
+
+    @pytest.fixture
+    def golden_store(self, walks) -> Store:
+        text = (GOLDENS / "integrated_golden.nt").read_text(encoding="utf-8")
+        store = store_with(*(Quad(t, G_MAY) for t in parse_ntriples(text)))
+        store.triples()  # built once per snapshot, as the endpoint does
+        walks.clear()
+        return store
+
+    def test_bound_subject_select(self, golden_store, walks):
+        subject = next(iter(golden_store)).triple.subject
+        query = parse_query(f"SELECT ?p ?o WHERE {{ <{subject.value}> ?p ?o }}")
+        assert execute_select(golden_store, query).rows
+        assert walks == []
+
+    def test_validate_shapes(self, golden_store, walks):
+        graph = golden_store.triples()
+        shapes = load_shapes()
+        walks.clear()  # loading the shapes walks the vocabulary graph
+        assert all(graph.subjects_of_type(shape.target_class) for shape in shapes)
+        validate_shapes(graph, shapes)
+        assert walks == []
+
+    def test_a_wildcard_pattern_is_seen(self, golden_store, walks):
+        execute_select(golden_store, parse_query("SELECT * WHERE { ?s ?p ?o }"))
+        assert walks == [len(golden_store)]
 
 
 class TestStats:
