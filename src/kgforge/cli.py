@@ -116,8 +116,9 @@ def cmd_transform(config: PipelineConfig) -> int:
 def cmd_load(config: PipelineConfig, fresh: bool = False) -> int:
     result = stage_load(config, fresh=fresh)
     logger.info(
-        "load: %d inserted, store now %d quads in %d graphs",
+        "load: %d inserted, %d removed, store now %d quads in %d graphs",
         result.inserted,
+        result.removed,
         result.total,
         result.graphs,
     )

@@ -57,6 +57,9 @@ SPARQL_JSON = "application/sparql-results+json"
 NTRIPLES = "application/n-triples"
 NQUADS = "application/n-quads"
 
+#: Seconds a POST body may take to arrive before the handler answers 408.
+BODY_TIMEOUT_S = 30.0
+
 
 class QueryParseError(ScanError):
     """The query text is outside the supported subset."""
@@ -457,11 +460,23 @@ class _Handler(BaseHTTPRequestHandler):
             # another request.
             self._error(400, f"invalid Content-Length: {declared!r}", close=True)
             return
+        # The timeout covers the body read only: a socket in timeout mode
+        # polls before every recv and send, and each poll releases the
+        # GIL, which lengthens the tail of short requests that compete
+        # with long ones.
+        self.connection.settimeout(BODY_TIMEOUT_S)
         try:
             body = self.rfile.read(int(declared)).decode("utf-8")
+        except TimeoutError:
+            # Part of the body may still be in flight, so the connection
+            # cannot carry another request.
+            self._error(408, "request body not received in time", close=True)
+            return
         except UnicodeDecodeError:
             self._error(400, "request body is not valid UTF-8")
             return
+        finally:
+            self.connection.settimeout(None)
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
         if content_type == "application/sparql-query":
             query_text = body

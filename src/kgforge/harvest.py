@@ -38,6 +38,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
+from ._atomic import write_atomic
 from .jsonld import RawRecord, parse_payload
 
 logger = logging.getLogger(__name__)
@@ -157,7 +158,7 @@ class RawCache:
         blob = self.directory / relative
         if not blob.exists():
             blob.parent.mkdir(parents=True, exist_ok=True)
-            blob.write_bytes(envelope)
+            write_atomic(blob, envelope)
         self._index[source_id] = {
             "digest": digest,
             "file": relative,
@@ -171,9 +172,9 @@ class RawCache:
         if not self._dirty:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        (self.directory / INDEX_NAME).write_text(
+        write_atomic(
+            self.directory / INDEX_NAME,
             json.dumps(self._index, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
         )
         self._dirty = False
 

@@ -145,15 +145,19 @@ def parse_payload(text: str) -> Any:
     return json.loads(text, parse_float=Decimal)
 
 
-@cache
-def load_default_context() -> JsonLdContext:
-    """The packaged schema.org term map."""
-    text = (
+def default_context_text() -> str:
+    """The packaged schema.org term map as JSON text."""
+    return (
         resources.files(__package__)
         .joinpath("rules/schema_context.json")
         .read_text(encoding="utf-8")
     )
-    return JsonLdContext.from_mapping(json.loads(text))
+
+
+@cache
+def load_default_context() -> JsonLdContext:
+    """The packaged schema.org term map."""
+    return JsonLdContext.from_mapping(json.loads(default_context_text()))
 
 
 def to_rdf(record: RawRecord, context: JsonLdContext) -> Graph:

@@ -541,18 +541,27 @@ def apply_rule_pack(graph: Graph, rules: Iterable[MappingRule]) -> Graph:
 RULE_FILES = ("dataset.rq", "creator.rq", "study.rq", "substance.rq")
 
 
+def rule_pack_sources() -> tuple[tuple[str, str], ...]:
+    """``(file name, text)`` of each packaged rule, in application order."""
+    package = resources.files(__package__)
+    return tuple(
+        (filename, package.joinpath(f"rules/{filename}").read_text(encoding="utf-8"))
+        for filename in RULE_FILES
+    )
+
+
+def parse_rules(sources: Iterable[tuple[str, str]]) -> tuple[MappingRule, ...]:
+    """Parse ``(name, text)`` rules and check them against the vocabulary."""
+    table = load_table()
+    rules = []
+    for name, text in sources:
+        rule = parse_rule(text, name=name)
+        table.require_known(rule.iris(), f"rule {name}")
+        rules.append(rule)
+    return tuple(rules)
+
+
 @cache
 def load_rule_pack() -> tuple[MappingRule, ...]:
     """Parse the packaged rules and check them against the vocabulary."""
-    table = load_table()
-    rules = []
-    for filename in RULE_FILES:
-        text = (
-            resources.files(__package__)
-            .joinpath(f"rules/{filename}")
-            .read_text(encoding="utf-8")
-        )
-        rule = parse_rule(text, name=filename)
-        table.require_known(rule.iris(), f"rule {filename}")
-        rules.append(rule)
-    return tuple(rules)
+    return parse_rules(rule_pack_sources())

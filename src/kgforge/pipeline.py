@@ -3,7 +3,7 @@
 A run works through one working layout on disk:
 
     cache/          raw envelopes, content-addressed (harvest)
-    staging/*.nq    mapped quads, one file per monthly partition (transform)
+    staging/*.nq    mapped quads, one file per named graph (transform)
     store/          the persistent quad store (load)
     store/validation.json   the latest validation report (validate)
 
@@ -11,11 +11,21 @@ Each stage consumes only the previous stage's artifact, so every command
 is rerunnable in isolation and ``run`` is nothing but the five stages in
 order.  All stage functions are pure with respect to the config: same
 config and same inputs give the same artifacts.
+
+The two batch stages are sized by what changed.  Transform re-maps only
+the named graphs whose fingerprint (their records' content digests, the
+rule texts, the JSON-LD context, the mint config and the mapping code)
+differs from the one recorded in ``staging/summary.json``, and reuses
+the staged files of the rest.  Load replaces each stored graph whose
+staged file differs from its stored file and skips the others unparsed;
+graphs without a staged file are left alone.  Every file is written
+through a temporary file and a rename.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -25,21 +35,31 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
+from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .harvest import CHECKPOINT_NAME, Harvester, HarvestStats, RawCache, SourceConfig
+from ._atomic import write_atomic
+from .harvest import (
+    CHECKPOINT_NAME,
+    CacheEntry,
+    Harvester,
+    HarvestStats,
+    RawCache,
+    SourceConfig,
+)
 from .jsonld import (
     JsonLdError,
     RawRecord,
+    default_context_text,
     load_default_context,
     relabel_blank_nodes,
     to_rdf,
 )
-from .mapping import MappingRule, apply_rule, load_rule_pack, parse_rule
+from .mapping import MappingRule, apply_rule, parse_rules, rule_pack_sources
 from .mint import MintConfig, mint_graph_iri, mint_resource_iri
 from .rdf import Graph, Iri, Quad, parse_nquads, serialize_nquads
-from .store import MANIFEST_NAME, Store, graph_filename
+from .store import GRAPHS_DIR, MANIFEST_NAME, Store, graph_filename
 from .validation import (
     PatternRule,
     Shape,
@@ -246,19 +266,18 @@ def store_lock(store_dir: Path):
 # ---------------------------------------------------------------------------
 
 
-def load_rules(config: PipelineConfig) -> tuple[MappingRule, ...]:
-    """The packaged rule pack, or the ``*.rq`` files in ``rules_dir``."""
+def rule_sources(config: PipelineConfig) -> tuple[tuple[str, str], ...]:
+    """``(name, text)`` of each mapping rule, in application order: the
+    packaged pack, or the ``*.rq`` files in ``rules_dir``."""
     if config.rules_dir is None:
-        return load_rule_pack()
-    table = load_table()
-    rules = []
-    for path in sorted(config.rules_dir.glob("*.rq")):
-        rule = parse_rule(path.read_text(encoding="utf-8"), name=path.name)
-        table.require_known(rule.iris(), f"rule {path.name}")
-        rules.append(rule)
-    if not rules:
+        return rule_pack_sources()
+    sources = tuple(
+        (path.name, path.read_text(encoding="utf-8"))
+        for path in sorted(config.rules_dir.glob("*.rq"))
+    )
+    if not sources:
         raise ConfigError(f"no .rq rules found in {config.rules_dir}")
-    return tuple(rules)
+    return sources
 
 
 def load_shape_files(
@@ -354,102 +373,214 @@ class TransformResult:
     per_rule: dict[str, int]
 
 
-def stage_transform(config: PipelineConfig) -> TransformResult:
-    """Map every cached record and stage the result as N-Quads files,
-    one per named graph, in canonical order."""
-    cache = RawCache(config.cache_dir)
-    rules = load_rules(config)
-    context = load_default_context()
-    per_rule: dict[str, int] = {rule.name: 0 for rule in rules}
-    by_graph: dict[Iri, set] = {}
-    records_per_graph: dict[Iri, int] = {}
-    records = 0
-    skipped = 0
-    for entry in cache.entries():
+#: Modules whose code decides what a record maps to.  Their source is part
+#: of every graph's fingerprint, so an upgrade re-stages everything once.
+_MAPPING_MODULES = ("_scan", "rdf", "jsonld", "mint", "mapping", "harvest", "pipeline")
+
+
+def _mapping_inputs(config: PipelineConfig, sources: Iterable[tuple[str, str]]):
+    """A SHA-256 over everything but the records that decides the staged
+    quads: mapping code, rules, JSON-LD context and mint config."""
+    package = resources.files(__package__)
+    parts = [package.joinpath(f"{name}.py").read_bytes() for name in _MAPPING_MODULES]
+    parts += [f"{name}\n{text}".encode("utf-8") for name, text in sources]
+    parts += [default_context_text().encode("utf-8"), repr(config.mint).encode("utf-8")]
+    digest = hashlib.sha256()
+    for part in parts:  # length-prefixed, so no two inputs hash alike
+        digest.update(b"%d\n" % len(part))
+        digest.update(part)
+    return digest
+
+
+def _read_staging_summary(staging_dir: Path) -> dict[str, dict]:
+    """Graph IRI -> summary entry of the last transform; an unreadable
+    summary counts as none."""
+    try:
+        doc = json.loads((staging_dir / STAGING_SUMMARY_NAME).read_text(encoding="utf-8"))
+        graphs = doc["graphs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+    if not isinstance(graphs, dict):
+        return {}
+    return {g: meta for g, meta in graphs.items() if isinstance(meta, dict)}
+
+
+def _sha256_file(path: Path) -> str | None:
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
+def _map_graph(
+    cache: RawCache,
+    entries: list[CacheEntry],
+    mint: MintConfig,
+    rules: tuple[MappingRule, ...],
+    context,
+) -> tuple[set, dict[str, int], int, int]:
+    """Map one graph's records: (triples, per-rule counts, records
+    mapped, records skipped)."""
+    triples: set = set()
+    per_rule = {rule.name: 0 for rule in rules}
+    records = skipped = 0
+    for entry in entries:
         try:
             record = cache.load_record(entry)
-            graph_iri, mapped, counts = transform_record(
-                record, config.mint, rules, context
-            )
+            _, mapped, counts = transform_record(record, mint, rules, context)
         except (JsonLdError, TransformError, ValueError) as exc:
             skipped += 1
             logger.warning("skipping record %r: %s", entry.source_id, exc)
             continue
         records += 1
         for name, n in counts.items():
-            per_rule[name] = per_rule.get(name, 0) + n
-        by_graph.setdefault(graph_iri, set()).update(mapped)
-        records_per_graph[graph_iri] = records_per_graph.get(graph_iri, 0) + 1
+            per_rule[name] += n
+        triples.update(mapped)
+    return triples, per_rule, records, skipped
 
-    if config.staging_dir.exists():
-        for stale in config.staging_dir.glob("*.nq"):
-            stale.unlink()
+
+def stage_transform(config: PipelineConfig) -> TransformResult:
+    """Stage every cached record as N-Quads, one canonical file per
+    named graph, and describe the files in ``summary.json``.
+
+    Records are grouped by the graph their submission date mints.  A
+    graph is re-mapped only when its fingerprint differs from the one
+    in the last summary, or its staged file no longer hashes to the
+    recorded ``sha256``; otherwise file and summary entry are reused.
+    The totals returned count every graph, reused or not.
+    """
+    cache = RawCache(config.cache_dir)
+    sources = rule_sources(config)
+    inputs = _mapping_inputs(config, sources)
+    by_graph: dict[Iri, list[CacheEntry]] = {}
+    for entry in cache.entries():
+        graph_iri = mint_graph_iri(config.mint, entry.submission_date)
+        by_graph.setdefault(graph_iri, []).append(entry)
+    previous = _read_staging_summary(config.staging_dir)
     config.staging_dir.mkdir(parents=True, exist_ok=True)
+
+    rules = context = None
     summary: dict[str, dict] = {}
-    total = 0
+    skipped = 0
     for graph_iri in sorted(by_graph, key=lambda g: g.value):
-        quads = [Quad(t, graph_iri) for t in by_graph[graph_iri]]
-        total += len(quads)
-        filename = graph_filename(graph_iri)
-        (config.staging_dir / filename).write_text(
-            serialize_nquads(quads), encoding="utf-8"
+        entries = by_graph[graph_iri]
+        digest = inputs.copy()
+        digest.update(
+            json.dumps([[e.source_id, e.content_digest] for e in entries]).encode("utf-8")
         )
-        summary[graph_iri.value] = {
-            "file": filename,
-            "quads": len(quads),
-            "source_records": records_per_graph[graph_iri],
-        }
-    (config.staging_dir / STAGING_SUMMARY_NAME).write_text(
-        json.dumps({"graphs": summary, "per_rule": per_rule}, indent=2, sort_keys=True)
+        fingerprint = digest.hexdigest()
+        path = config.staging_dir / graph_filename(graph_iri)
+        meta = previous.get(graph_iri.value)
+        if (
+            meta is None
+            or meta.get("fingerprint") != fingerprint
+            or meta.get("file") != path.name
+            or meta.get("sha256") != _sha256_file(path)
+        ):
+            if rules is None:
+                rules, context = parse_rules(sources), load_default_context()
+            triples, per_rule, records, dropped = _map_graph(
+                cache, entries, config.mint, rules, context
+            )
+            if not records:
+                skipped += dropped
+                continue
+            data = serialize_nquads(Quad(t, graph_iri) for t in triples).encode("utf-8")
+            write_atomic(path, data)
+            meta = {
+                "file": path.name,
+                "fingerprint": fingerprint,
+                "per_rule": per_rule,
+                "quads": len(triples),
+                "sha256": hashlib.sha256(data).hexdigest(),
+                "skipped": dropped,
+                "source_records": records,
+            }
+        summary[graph_iri.value] = meta
+
+    staged = {meta["file"] for meta in summary.values()}
+    for stale in config.staging_dir.glob("*.nq"):
+        if stale.name not in staged:
+            stale.unlink()
+    per_rule_total = {name: 0 for name, _ in sources}
+    for meta in summary.values():
+        skipped += meta["skipped"]
+        for name, n in meta["per_rule"].items():
+            per_rule_total[name] = per_rule_total.get(name, 0) + n
+    write_atomic(
+        config.staging_dir / STAGING_SUMMARY_NAME,
+        json.dumps({"graphs": summary, "per_rule": per_rule_total}, indent=2, sort_keys=True)
         + "\n",
-        encoding="utf-8",
     )
     return TransformResult(
-        records=records,
+        records=sum(meta["source_records"] for meta in summary.values()),
         skipped=skipped,
-        quads=total,
-        graphs=len(by_graph),
-        per_rule=per_rule,
+        quads=sum(meta["quads"] for meta in summary.values()),
+        graphs=len(summary),
+        per_rule=per_rule_total,
     )
 
 
 @dataclass(frozen=True, slots=True)
 class LoadResult:
     inserted: int
+    removed: int
     total: int
     graphs: int
     #: The loaded store, for later stages of the same run.
     store: Store = dataclasses.field(repr=False, compare=False)
 
 
+def _changed_text(staged: Path, stored: Path | None) -> str | None:
+    """The staged file's text, or None when it equals the ``stored``
+    file byte for byte."""
+    data = staged.read_bytes()
+    if stored is not None and data == stored.read_bytes():
+        return None
+    return data.decode("utf-8")
+
+
 def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
-    """Insert the staged quads into the store and persist it."""
+    """Replace each stored graph by its staged file and persist the store.
+
+    A staged file byte-identical to the stored file of its graph is
+    skipped unparsed; graphs without a staged file are left alone.
+    ``fresh`` discards the store first."""
     if not config.staging_dir.is_dir():
         raise StageError(f"nothing staged under {config.staging_dir}; run transform")
-    summary_path = config.staging_dir / STAGING_SUMMARY_NAME
-    records_per_graph: dict[str, int] = {}
-    if summary_path.exists():
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        records_per_graph = {
-            g: meta.get("source_records", 0)
-            for g, meta in summary.get("graphs", {}).items()
-        }
+    records_per_graph = {
+        g: meta.get("source_records", 0)
+        for g, meta in _read_staging_summary(config.staging_dir).items()
+    }
     if fresh and config.store_dir.exists():
         shutil.rmtree(config.store_dir)
     store = Store.load(config.store_dir)
-    inserted = 0
+    stored = {store.graph_entry(g).filename: g for g in store.graphs()}
+    inserted = removed = 0
     for path in sorted(config.staging_dir.glob("*.nq")):
-        quads = parse_nquads(path.read_text(encoding="utf-8"))
-        if not quads:
-            continue
-        graph_value = quads[0].graph.value
-        inserted += store.load_quads(
-            quads, source_records=records_per_graph.get(graph_value, 0)
-        )
+        graph = stored.get(path.name)
+        stored_file = None if graph is None else config.store_dir / GRAPHS_DIR / path.name
+        try:
+            text = _changed_text(path, stored_file)
+            if text is None:
+                continue
+            quads = parse_nquads(text)
+            if quads:
+                graph = quads[0].graph
+            if graph is None:
+                continue
+            added, dropped = store.replace_graph(
+                graph, quads, source_records=records_per_graph.get(graph.value, 0)
+            )
+        except ValueError as exc:
+            raise StageError(f"bad staged file {path.name}: {exc}") from exc
+        inserted += added
+        removed += dropped
     store.persist(config.store_dir)
     stats = store.stats()
     return LoadResult(
         inserted=inserted,
+        removed=removed,
         total=stats.total_triples,
         graphs=stats.graph_count,
         store=store,
@@ -478,9 +609,7 @@ def stage_validate(
     violations = sum(1 for f in report.findings if f.severity == "violation")
     warnings = sum(1 for f in report.findings if f.severity == "warning")
     config.store_dir.mkdir(parents=True, exist_ok=True)
-    config.report_path.write_text(
-        json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(config.report_path, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return ValidateResult(
         report=report,
         violations=violations,
@@ -538,7 +667,10 @@ def run_pipeline(config: PipelineConfig, *, fresh: bool = False) -> dict:
         )
         load = timed("load", lambda: stage_load(config, fresh=fresh))
         summary["stages"]["load"].update(
-            inserted=load.inserted, total=load.total, graphs=load.graphs
+            inserted=load.inserted,
+            removed=load.removed,
+            total=load.total,
+            graphs=load.graphs,
         )
         validated = timed(
             "validate", lambda: stage_validate(config, store=load.store)

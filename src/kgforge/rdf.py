@@ -427,6 +427,7 @@ def parse_turtle_subset(text: str) -> Graph:
     """
     sc = _RdfScanner(text)
     prefixes: dict[str, str] = {}
+    iris: dict[str, Iri] = {}
     triples: list[Triple] = []
 
     def resolve_pname() -> Iri:
@@ -445,11 +446,7 @@ def parse_turtle_subset(text: str) -> Graph:
         if c == "(":
             raise sc.error("unsupported collection")
         if c == "<":
-            value = sc.read_iriref()
-            try:
-                return Iri(value)
-            except ValueError as exc:
-                raise sc.error(str(exc)) from None
+            return _read_iri(sc, iris)
         if c == "_" and sc.peek(1) == ":":
             return BlankNode(sc.read_bnode_label())
         if c == '"':
@@ -459,9 +456,11 @@ def parse_turtle_subset(text: str) -> Graph:
             if sc.peek() == "@":
                 return lang_literal(lexical, sc.read_langtag())
             if sc.try_consume("^^"):
-                if sc.peek() == "<":
-                    return Literal(lexical, Iri(sc.read_iriref()))
-                return Literal(lexical, resolve_pname())
+                datatype = _read_iri(sc, iris) if sc.peek() == "<" else resolve_pname()
+                try:
+                    return Literal(lexical, datatype)
+                except ValueError as exc:
+                    raise sc.error(str(exc)) from None
             return Literal(lexical)
         if position == "predicate" and c == "a":
             nxt = sc.peek(1)
@@ -482,9 +481,7 @@ def parse_turtle_subset(text: str) -> Graph:
             if local:
                 raise sc.error("malformed @prefix declaration")
             sc.skip_ws()
-            ns = sc.read_iriref()
-            Iri(ns)  # validate
-            prefixes[prefix] = ns
+            prefixes[prefix] = _read_iri(sc, iris).value
             sc.skip_ws()
             sc.expect(".")
             continue

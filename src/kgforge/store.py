@@ -3,26 +3,35 @@
 Quads live in memory in one set plus one graph -> subject index.
 Lookups by predicate or object go through triple views
 (``Store.triples``): one indexed ``Graph`` per named graph and one for
-their union, built on first use and kept until a load inserts a quad.
+their union, built on first use and kept until a load changes a quad.
+
+Two operations change the store.  ``load_quads`` is a set-union insert.
+``replace_graph`` makes a graph hold exactly the given quads, like
+``PUT`` in the SPARQL 1.1 Graph Store HTTP Protocol: the batch pipeline
+stages each named graph whole, so a re-staged graph replaces its stored
+version and an edited record leaves no stale triple behind.  Graphs not
+named in a call are untouched; no operation drops a graph from the
+manifest.  Either operation records a load event in the manifest only
+for a graph whose content changed, so replaying a batch leaves no trace.
+
 Persistence is one canonical N-Quads file per named graph under
 ``graphs/`` next to a ``manifest.json``.  Serialization is canonical, so
-persisting an unchanged store rewrites byte-identical files, and a
-repeated load of the same batch is a no-op that leaves no trace in the
-manifest.
-
-The store is append-only by design: resources are superseded by later
-submissions in newer graphs, never deleted, so there is no removal
-operation to misuse.
+identical content is byte-identical on disk.  ``persist`` rewrites only
+the graphs changed since the store was loaded from, or last persisted
+to, that directory, then the manifest, each through a temporary file
+and a rename; it writes nothing when no graph changed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ._atomic import replace_files
 from .mint import encode_for_uri
 from .rdf import (
     RDF_TYPE,
@@ -84,6 +93,10 @@ class Store:
         # graph (None: the union) -> indexed triple view.
         self._views: dict[Iri | None, Graph] = {}
         self._manifest: dict[Iri, _GraphEntry] = {}
+        # The directory the store was loaded from or last persisted to,
+        # and the graphs changed since.
+        self._home: Path | None = None
+        self._dirty: set[Iri] = set()
 
     # -- basic views ---------------------------------------------------
 
@@ -149,6 +162,7 @@ class Store:
                 inserted_per_graph[quad.graph] = inserted_per_graph.get(quad.graph, 0) + 1
         if inserted_per_graph:
             self._views.clear()
+            self._dirty.update(inserted_per_graph)
             stamp = (loaded_at or datetime.now(timezone.utc)).isoformat()
             for graph, inserted in inserted_per_graph.items():
                 entry = self._manifest[graph]
@@ -164,6 +178,48 @@ class Store:
                 )
         return sum(inserted_per_graph.values())
 
+    def replace_graph(
+        self,
+        graph: Iri,
+        quads: Iterable[Quad],
+        *,
+        source_records: int = 0,
+        loaded_at: datetime | None = None,
+    ) -> tuple[int, int]:
+        """Make ``graph`` hold exactly ``quads``; returns the numbers of
+        quads (inserted, removed).
+
+        New quads go in through ``load_quads``.  The load event of a
+        changed graph gains a ``removed`` count when quads were removed;
+        a graph replaced by nothing keeps its manifest entry with no
+        quads.
+        """
+        quads = list(quads)
+        for quad in quads:
+            if quad.graph != graph:
+                raise ValueError(f"quad for graph {quad.graph} in a replacement of {graph}")
+        old = self._graph_quads(graph)
+        stale = old.difference(quads) if old else set()
+        for quad in stale:
+            self._discard(quad)
+        loaded_at = loaded_at or datetime.now(timezone.utc)
+        inserted = self.load_quads(quads, source_records=source_records, loaded_at=loaded_at)
+        if stale:
+            self._views.clear()
+            self._dirty.add(graph)
+            entry = self._manifest[graph]
+            entry.quad_count = len(old) - len(stale) + inserted
+            if not inserted:
+                entry.loads.append(
+                    {
+                        "at": loaded_at.isoformat(),
+                        "inserted": 0,
+                        "source_records": source_records,
+                    }
+                )
+            entry.loads[-1]["removed"] = len(stale)
+        return inserted, len(stale)
+
     def _insert(self, quad: Quad) -> bool:
         # One hash of the quad decides novelty: ``add`` leaves the size
         # unchanged for a quad already present.
@@ -175,6 +231,19 @@ class Store:
             self._manifest[quad.graph] = _GraphEntry(filename=graph_filename(quad.graph))
         self._gspo.setdefault(quad.graph, {}).setdefault(quad.triple.subject, set()).add(quad)
         return True
+
+    def _discard(self, quad: Quad) -> None:
+        self._quads.remove(quad)
+        by_subject = self._gspo[quad.graph]
+        same_subject = by_subject[quad.triple.subject]
+        same_subject.remove(quad)
+        if not same_subject:
+            del by_subject[quad.triple.subject]
+            if not by_subject:
+                del self._gspo[quad.graph]
+
+    def _graph_quads(self, graph: Iri) -> set[Quad]:
+        return {q for quads in self._gspo.get(graph, {}).values() for q in quads}
 
     # -- lookup ----------------------------------------------------------
 
@@ -214,27 +283,39 @@ class Store:
     # -- persistence -----------------------------------------------------
 
     def persist(self, directory: Path | str) -> None:
-        """Write one canonical N-Quads file per graph plus the manifest."""
+        """Write one canonical N-Quads file per graph plus the manifest.
+
+        Into the directory the store was loaded from or last persisted
+        to, while its manifest exists, only the graphs changed since are
+        written, and nothing at all when none changed.  Every file goes
+        through a temporary file, all of them written before the first
+        rename, and the manifest is renamed last.
+        """
         directory = Path(directory)
+        home = directory.resolve()
+        manifest_path = directory / MANIFEST_NAME
+        if home == self._home and manifest_path.exists():
+            if not self._dirty:
+                return
+            changed = self._dirty
+        else:
+            changed = set(self._manifest)
         graphs_dir = directory / GRAPHS_DIR
         graphs_dir.mkdir(parents=True, exist_ok=True)
-        manifest_doc = {}
-        for graph in sorted(self._manifest, key=lambda g: g.value):
-            entry = self._manifest[graph]
-            quads = {q for quads in self._gspo.get(graph, {}).values() for q in quads}
-            (graphs_dir / entry.filename).write_text(
-                serialize_nquads(quads), encoding="utf-8"
-            )
-            manifest_doc[graph.value] = {
-                "file": entry.filename,
-                "quads": entry.quad_count,
-                "loads": entry.loads,
-            }
-        manifest_path = directory / MANIFEST_NAME
-        manifest_path.write_text(
-            json.dumps({"graphs": manifest_doc}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        manifest_doc = {
+            graph.value: {"file": entry.filename, "quads": entry.quad_count, "loads": entry.loads}
+            for graph, entry in self._manifest.items()
+        }
+        text = json.dumps({"graphs": manifest_doc}, indent=2, sort_keys=True) + "\n"
+        # A generator: each graph is serialized just before its temp file
+        # is written, so only one graph's text is held at a time.
+        files = (
+            (graphs_dir / self._manifest[graph].filename, serialize_nquads(self._graph_quads(graph)))
+            for graph in sorted(changed, key=lambda g: g.value)
         )
+        replace_files(itertools.chain(files, [(manifest_path, text)]))
+        self._home = home
+        self._dirty.clear()
 
     @classmethod
     def load(cls, directory: Path | str) -> "Store":
@@ -275,7 +356,7 @@ class Store:
                         f"expected {graph_value}"
                     )
                 store._insert(quad)
-            loaded = {q for quads in store._gspo.get(graph, {}).values() for q in quads}
+            loaded = store._graph_quads(graph)
             if len(loaded) != expected_count:
                 raise CorruptManifest(
                     f"{filename} holds {len(loaded)} quads, "
@@ -285,6 +366,7 @@ class Store:
             entry.filename = filename
             entry.quad_count = expected_count
             entry.loads = list(loads)
+        store._home = directory.resolve()
         return store
 
 

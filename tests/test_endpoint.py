@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from kgforge import endpoint
 from kgforge.endpoint import (
     AskQuery,
     ConstructQuery,
@@ -521,6 +523,25 @@ class TestHttp:
             assert message in response.read().decode()
         finally:
             conn.close()
+        status, _, _ = get(served, "/stats")
+        assert status == 200
+
+    def test_short_post_body_408(self, served, monkeypatch, capfd):
+        # The body promises 100 bytes and delivers 6, then the client
+        # waits; the handler must answer rather than block forever.
+        monkeypatch.setattr(endpoint, "BODY_TIMEOUT_S", 0.2)
+        with socket.create_connection(served.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 100\r\n\r\nquery="
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head = reply.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 408")
+        assert "Connection: close" in head.split("\r\n")
+        assert "Traceback" not in capfd.readouterr().err
         status, _, _ = get(served, "/stats")
         assert status == 200
 

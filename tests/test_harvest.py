@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import threading
 from datetime import date, datetime, timedelta, timezone
@@ -383,15 +384,16 @@ class TestLinearBookkeeping:
         config = SourceConfig(
             base_url=str(tmp_path / "source"), mode="directory", page_size=page_size
         )
+        # Every persisted file is renamed into place once per write.
         writes = []
-        original = Path.write_text
+        original = os.replace
 
-        def counting_write_text(self, *args, **kwargs):
-            if self.name == "index.json":
-                writes.append(self)
-            return original(self, *args, **kwargs)
+        def counting_replace(src, dst):
+            if Path(dst).name == "index.json":
+                writes.append(dst)
+            return original(src, dst)
 
-        monkeypatch.setattr(Path, "write_text", counting_write_text)
+        monkeypatch.setattr(os, "replace", counting_replace)
         h = Harvester(config, RawCache(tmp_path / "cache"))
         assert len(list(h.records())) == n
         assert 1 <= len(writes) <= -(-n // page_size) + 1

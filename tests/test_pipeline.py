@@ -9,11 +9,16 @@ which carry substance blocks).
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from datetime import date, datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from kgforge import pipeline
 from kgforge.harvest import RawCache
 from kgforge.jsonld import RawRecord
 from kgforge.mint import MintConfig
@@ -300,6 +305,14 @@ class TestStages:
         with pytest.raises(StageError, match="nothing staged"):
             stage_load(cfg)
 
+    def test_corrupt_staged_file_is_a_stage_error(self, tmp_path):
+        cfg = make_config(tmp_path)
+        stage_harvest(cfg)
+        stage_transform(cfg)
+        (cfg.staging_dir / "2014-06.nq").write_bytes(b"<http://a/s> <http://a/p> nope .\n")
+        with pytest.raises(StageError, match="bad staged file 2014-06.nq"):
+            stage_load(cfg)
+
     def test_transform_skips_broken_cached_record(self, tmp_path, caplog):
         cfg = make_config(tmp_path)
         stage_harvest(cfg)
@@ -408,3 +421,242 @@ class TestStoreLock:
                 raise RuntimeError("boom")
         with store_lock(store_dir):
             pass
+
+
+# ---------------------------------------------------------------------------
+# Delta ingest: re-stage only changed graphs, replace them in the store
+# ---------------------------------------------------------------------------
+
+
+def copy_fixtures(source: Path) -> Path:
+    source.mkdir(parents=True)
+    for path in sorted(FIXTURES.glob("*.json")):
+        shutil.copy(path, source / path.name)
+    return source
+
+
+def source_config(work: Path, source: Path, **overrides) -> PipelineConfig:
+    doc = config_doc(work)
+    doc["source"]["base_url"] = str(source)
+    doc.update(overrides)
+    return config_from_json_dict(doc, base_dir=work)
+
+
+def edit_name(source: Path, index: int, name: str) -> None:
+    path = source / f"rec_{index:02d}.json"
+    doc = json.loads(path.read_text())
+    doc["metadata"]["name"] = name
+    path.write_text(json.dumps(doc, indent=2))
+
+
+def add_record(source: Path, like: int, key: str, submitted: str) -> None:
+    """A new record shaped like fixture ``like`` under a new id."""
+    doc = json.loads((FIXTURES / f"rec_{like:02d}.json").read_text())
+    doc["id"] = f"10.14272/{key}/Raman"
+    doc["submitted"] = submitted
+    (source / f"add_{key}.json").write_text(json.dumps(doc, indent=2))
+
+
+def ingest(cfg: PipelineConfig):
+    stage_harvest(cfg)
+    transform = stage_transform(cfg)
+    return transform, stage_load(cfg)
+
+
+def file_states(directory: Path, pattern: str = "**/*") -> dict[str, tuple]:
+    """Backdate each file's mtime to the epoch and return name -> (inode,
+    mtime, bytes), so that any later write shows: a rename changes the
+    inode, a write in place the mtime."""
+    states = {}
+    for p in sorted(directory.glob(pattern)):
+        if p.is_file():
+            os.utime(p, ns=(0, 0))
+            states[str(p.relative_to(directory))] = (p.stat().st_ino, 0, p.read_bytes())
+    return states
+
+
+def written(directory: Path, pattern: str = "**/*") -> dict[str, tuple]:
+    """The same view without backdating."""
+    return {
+        str(p.relative_to(directory)): (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+        for p in sorted(directory.glob(pattern))
+        if p.is_file()
+    }
+
+
+@pytest.fixture
+def mapped_records(monkeypatch) -> list[str]:
+    """Source ids passed to ``transform_record``, in call order."""
+    calls: list[str] = []
+    original = pipeline.transform_record
+
+    def counting(record, *args, **kwargs):
+        calls.append(record.source_id)
+        return original(record, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "transform_record", counting)
+    return calls
+
+
+class TestDeltaIngest:
+    def test_edited_record_replaces_its_old_triple(self, tmp_path):
+        source = copy_fixtures(tmp_path / "source")
+        cfg = source_config(tmp_path, source)
+        ingest(cfg)
+        edit_name(source, 7, "Raman Spectrum, revised")
+        transform, load = ingest(cfg)
+        assert transform.quads == 1471
+        assert (load.inserted, load.removed) == (1, 1)
+        assert load.total == 1471
+        store = Store.load(cfg.store_dir)
+        assert len(store) == 1471
+        events = [e for g in store.graphs() for e in store.graph_entry(g).loads if "removed" in e]
+        assert [(e["inserted"], e["removed"]) for e in events] == [(1, 1)]
+
+    def test_only_touched_graphs_are_remapped(self, tmp_path, mapped_records):
+        source = copy_fixtures(tmp_path / "source")
+        cfg = source_config(tmp_path, source)
+        ingest(cfg)
+        assert len(mapped_records) == 50
+        mapped_records.clear()
+        for k in range(25):
+            add_record(source, k, f"NEWKEY{k:02d}", f"2014-11-{k + 1:02d}")
+        transform, load = ingest(cfg)
+        assert sorted(mapped_records) == sorted(
+            f"10.14272/NEWKEY{k:02d}/Raman" for k in range(25)
+        )
+        assert load.removed == 0 and load.inserted == load.total - 1471
+        # Totals count reused graphs too: they equal a full transform's.
+        scratch = source_config(tmp_path / "scratch", source)
+        stage_harvest(scratch)
+        assert stage_transform(scratch) == transform
+        assert transform.records == 75 and transform.graphs == 7
+        mapped_records.clear()
+        assert stage_transform(cfg) == transform
+        assert mapped_records == []
+
+    def test_changed_rule_restages_every_graph(self, tmp_path, mapped_records):
+        rules = tmp_path / "rules"
+        rules.mkdir()
+        for path in (Path(pipeline.__file__).parent / "rules").glob("*.rq"):
+            shutil.copy(path, rules / path.name)
+        cfg = source_config(tmp_path, FIXTURES, rules_dir=str(rules))
+        stage_harvest(cfg)
+        first = stage_transform(cfg)
+        mapped_records.clear()
+        study = rules / "study.rq"
+        study.write_text(study.read_text() + "\n# reviewed\n")
+        assert stage_transform(cfg) == first
+        assert len(mapped_records) == 50
+
+    def test_changed_granularity_restages_every_graph(self, tmp_path, mapped_records):
+        stage_harvest(make_config(tmp_path))
+        stage_transform(make_config(tmp_path))
+        mapped_records.clear()
+        doc = config_doc(tmp_path)
+        doc["mint"]["graph_granularity"] = "day"
+        cfg = config_from_json_dict(doc, base_dir=tmp_path)
+        result = stage_transform(cfg)
+        assert len(mapped_records) == 50
+        names = sorted(p.name for p in cfg.staging_dir.glob("*.nq"))
+        assert len(names) == result.graphs > 6
+        assert all(len(name) == len("2014-05-17.nq") for name in names)
+
+    def test_hand_edited_staged_file_restages_its_graph_only(self, tmp_path, mapped_records):
+        cfg = make_config(tmp_path)
+        stage_harvest(cfg)
+        stage_transform(cfg)
+        june = cfg.staging_dir / "2014-06.nq"
+        original = june.read_bytes()
+        june.write_bytes(original.split(b"\n", 1)[1])
+        summary = json.loads((cfg.staging_dir / "summary.json").read_text())
+        in_june = summary["graphs"][f"{BASE}graphs/2014/06"]["source_records"]
+        mapped_records.clear()
+        stage_transform(cfg)
+        assert len(mapped_records) == in_june
+        assert june.read_bytes() == original
+
+    def test_replayed_ingest_writes_no_byte(self, tmp_path):
+        cfg = make_config(tmp_path)
+        ingest(cfg)
+        store_before = file_states(cfg.store_dir)
+        staged_before = file_states(cfg.staging_dir, "*.nq")
+        transform, load = ingest(cfg)
+        assert (load.inserted, load.removed) == (0, 0)
+        assert written(cfg.store_dir) == store_before
+        assert written(cfg.staging_dir, "*.nq") == staged_before
+
+    def test_failed_persist_leaves_the_old_store(self, tmp_path, monkeypatch):
+        source = copy_fixtures(tmp_path / "source")
+        cfg = source_config(tmp_path, source)
+        ingest(cfg)
+        before = Store.load(cfg.store_dir)
+        on_disk = file_states(cfg.store_dir)
+        edit_name(source, 7, "Raman Spectrum, revised")
+        stage_harvest(cfg)
+        stage_transform(cfg)
+        writes: list[str] = []
+
+        def failing(write):
+            def failing_write(path, data, **kwargs):
+                writes.append(path.name)
+                if len(writes) == fail_at:
+                    raise OSError(f"disk full at write {fail_at}")
+                return write(path, data, **kwargs)
+
+            return failing_write
+
+        monkeypatch.setattr(Path, "write_bytes", failing(Path.write_bytes))
+        monkeypatch.setattr(Path, "write_text", failing(Path.write_text))
+        # The replaced graph's file, then the manifest.
+        for fail_at in (1, 2):
+            writes.clear()
+            with pytest.raises(OSError, match="disk full"):
+                stage_load(cfg)
+            assert Store.load(cfg.store_dir) == before
+            assert written(cfg.store_dir) == on_disk
+            assert list(cfg.store_dir.rglob("*.tmp")) == []
+        writes.clear()
+        fail_at = 0
+        stage_load(cfg)
+        assert [name.split(".")[0] for name in writes] == ["2014-06", "manifest"]
+        assert len(Store.load(cfg.store_dir)) == 1471
+        assert Store.load(cfg.store_dir) != before
+
+
+_ADD_MONTHS = ["2014-06-11", "2014-11-02", "2015-01-20"]
+_edits = st.tuples(
+    st.just("edit"), st.integers(0, 49), st.text(alphabet="abc XYZ", min_size=1, max_size=8)
+)
+_adds = st.tuples(st.just("add"), st.integers(0, 49), st.sampled_from(_ADD_MONTHS))
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.lists(st.lists(st.one_of(_edits, _adds), min_size=1, max_size=3), min_size=1, max_size=3))
+def test_delta_ingest_equals_a_fresh_build(batches):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        source = copy_fixtures(root / "source")
+        delta = source_config(root / "delta", source)
+        ingest(delta)
+        added = 0
+        for batch in batches:
+            for op, index, value in batch:
+                if op == "edit":
+                    edit_name(source, index, value)
+                else:
+                    add_record(source, index, f"ADDED{added:03d}", value)
+                    added += 1
+            ingest(delta)
+        fresh = source_config(root / "fresh", source)
+        stage_harvest(fresh)
+        stage_transform(fresh)
+        stage_load(fresh, fresh=True)
+        assert snapshot_dir(delta.staging_dir) == snapshot_dir(fresh.staging_dir)
+        assert snapshot_dir(delta.store_dir / "graphs") == snapshot_dir(
+            fresh.store_dir / "graphs"
+        )

@@ -149,6 +149,22 @@ def test_error_position_pinned(case, grammar, message, line, column):
             "<http://a/s> <http://a/p> <nota> .",
             "not an absolute IRI: 'nota' (line 1, column 33)",
         ),
+        (
+            parse_turtle_subset,
+            "@prefix ex: <foo> .",
+            "not an absolute IRI: 'foo' (line 1, column 18)",
+        ),
+        (
+            parse_turtle_subset,
+            '@prefix ex: <http://ex.org/> .\nex:s ex:p "x"^^<int> .',
+            "not an absolute IRI: 'int' (line 2, column 21)",
+        ),
+        (
+            parse_turtle_subset,
+            '@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n'
+            'rdf:s rdf:p "x"^^rdf:langString .',
+            "rdf:langString literal requires a language tag (line 2, column 32)",
+        ),
     ],
 )
 def test_statement_error_position_pinned(parse, text, message):

@@ -4,6 +4,7 @@ linear-scan oracle, statistics, and the persisted directory layout."""
 from __future__ import annotations
 
 import itertools
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -82,6 +83,72 @@ class TestLoadQuads:
         store.load_quads([Q1], source_records=1, loaded_at=T2)
         assert len(store.graph_entry(G_MAY).loads) == 1
         assert store.graph_entry(G_MAY).loads[0]["at"] == T1.isoformat()
+
+
+class TestReplaceGraph:
+    def test_counts_inserted_and_removed(self):
+        store = store_with(Q1, Q2, Q3)
+        q4 = Quad(Triple(ex("d4"), ex("p"), Literal("z")), G_MAY)
+        assert store.replace_graph(G_MAY, [Q1, q4], loaded_at=T2) == (1, 1)
+        assert set(store) == {Q1, q4, Q3}
+        assert store.graph_entry(G_MAY).quad_count == 2
+        assert store.graph_entry(G_MAY).loads[-1] == {
+            "at": T2.isoformat(),
+            "inserted": 1,
+            "removed": 1,
+            "source_records": 0,
+        }
+
+    def test_other_graphs_are_untouched(self):
+        store = store_with(Q1, Q2, Q3)
+        june_loads = list(store.graph_entry(G_JUNE).loads)
+        store.replace_graph(G_MAY, [Q1], loaded_at=T2)
+        assert Q3 in store
+        assert store.graph_entry(G_JUNE).loads == june_loads
+
+    def test_removal_only_records_an_event(self):
+        store = store_with(Q1, Q2)
+        assert store.replace_graph(G_MAY, [Q2], source_records=1, loaded_at=T2) == (0, 1)
+        assert store.graph_entry(G_MAY).loads[-1] == {
+            "at": T2.isoformat(),
+            "inserted": 0,
+            "removed": 1,
+            "source_records": 1,
+        }
+
+    def test_insert_only_event_has_no_removed_key(self):
+        store = store_with(Q1)
+        assert store.replace_graph(G_MAY, [Q1, Q2], loaded_at=T2) == (1, 0)
+        assert "removed" not in store.graph_entry(G_MAY).loads[-1]
+
+    def test_replay_is_a_no_op(self):
+        store = store_with(Q1, Q2, Q3)
+        view = store.triples(G_MAY)
+        assert store.replace_graph(G_MAY, [Q2, Q1], loaded_at=T2) == (0, 0)
+        assert len(store.graph_entry(G_MAY).loads) == 1
+        assert store.triples(G_MAY) is view
+
+    def test_views_follow_a_removal(self):
+        store = store_with(Q1, Q2)
+        before = store.triples()
+        store.replace_graph(G_MAY, [Q1], loaded_at=T2)
+        assert Q2.triple in before
+        assert Q2.triple not in store.triples()
+        assert list(store.match(Q2.triple.subject)) == []
+
+    def test_quads_of_another_graph_rejected(self):
+        with pytest.raises(ValueError, match="replacement of"):
+            Store().replace_graph(G_MAY, [Q3])
+
+    def test_emptied_graph_keeps_its_entry(self, tmp_path):
+        store = store_with(Q1, Q3)
+        assert store.replace_graph(G_MAY, [], loaded_at=T2) == (0, 1)
+        assert store.graphs() == {G_JUNE}
+        store.persist(tmp_path)
+        loaded = Store.load(tmp_path)
+        assert loaded == store
+        assert loaded.graph_entry(G_MAY).quad_count == 0
+        assert (tmp_path / "graphs" / "2014-05.nq").read_bytes() == b""
 
 
 _graph_iris = st.sampled_from([G_MAY, G_JUNE, G_DAY])
@@ -310,6 +377,21 @@ class TestGraphFilenames:
         assert "/" not in name
 
 
+def _stamps(directory: Path) -> dict[Path, tuple[int, int]]:
+    return {
+        p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.rglob("*") if p.is_file()
+    }
+
+
+def _backdated(directory: Path) -> dict[Path, tuple[int, int]]:
+    """Set every file's mtime to the epoch, so that a rewrite in place
+    shows as well as a rename; returns the stamps."""
+    for p in directory.rglob("*"):
+        if p.is_file():
+            os.utime(p, ns=(0, 0))
+    return _stamps(directory)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         store = store_with(Q1, Q2, Q3)
@@ -330,6 +412,34 @@ class TestPersistence:
         store.persist(tmp_path)
         after = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
         assert before == after
+
+    def test_persist_writes_only_changed_graphs(self, tmp_path):
+        store_with(Q1, Q3).persist(tmp_path)
+        june = tmp_path / "graphs" / "2014-06.nq"
+        before = _backdated(tmp_path)
+        store = Store.load(tmp_path)
+        store.load_quads([Q2], loaded_at=T2)
+        store.persist(tmp_path)
+        after = _stamps(tmp_path)
+        assert after[june] == before[june]
+        assert after[tmp_path / "graphs" / "2014-05.nq"] != before[tmp_path / "graphs" / "2014-05.nq"]
+        assert Store.load(tmp_path) == store_with(Q1, Q2, Q3)
+
+    def test_unchanged_store_persists_nothing(self, tmp_path):
+        store_with(Q1, Q3).persist(tmp_path)
+        before = _backdated(tmp_path)
+        Store.load(tmp_path).persist(tmp_path)
+        store = Store.load(tmp_path)
+        store.load_quads([Q1], loaded_at=T2)
+        store.persist(tmp_path)
+        assert _stamps(tmp_path) == before
+
+    def test_loaded_store_persists_whole_elsewhere(self, tmp_path):
+        store_with(Q1, Q3).persist(tmp_path / "a")
+        Store.load(tmp_path / "a").persist(tmp_path / "b")
+        names = lambda d: sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file())
+        assert names(tmp_path / "b") == names(tmp_path / "a")
+        assert Store.load(tmp_path / "b") == store_with(Q1, Q3)
 
     def test_persisted_layout(self, tmp_path):
         store_with(Q1, Q3).persist(tmp_path)
