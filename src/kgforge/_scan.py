@@ -1,10 +1,11 @@
 """Low-level character scanning shared by the N-Triples, Turtle-subset and
 mapping-rule parsers.
 
-Each parser owns its grammar; this module only knows how to walk text,
-track line/column positions, and read the lexical primitives the RDF
-family of syntaxes share (IRIREF, quoted strings with escapes, prefixed
-names, variables, language tags).
+This module only knows how to walk text, track line/column positions,
+and read the lexical primitives the RDF family of syntaxes share (IRIREF,
+quoted strings with escapes, prefixed names, variables, language tags).
+The term grammar built on them lives in ``kgforge.rdf``; each parser
+owns its statement grammar.
 """
 
 from __future__ import annotations

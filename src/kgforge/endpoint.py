@@ -35,10 +35,10 @@ from .mapping import (
     MappingRule,
     TriplePattern,
     Variable,
-    _parse_triples_block,
-    _read_iri_or_pname,
     apply_rule,
     eval_bgp,
+    parse_prologue,
+    parse_triples_block,
 )
 from .rdf import (
     XSD_STRING,
@@ -47,6 +47,7 @@ from .rdf import (
     Iri,
     Literal,
     Term,
+    read_iri_or_pname,
     serialize_nquads,
     serialize_ntriples,
     term_sort_key,
@@ -98,24 +99,15 @@ class ConstructQuery:
 
 def parse_query(text: str) -> SelectQuery | AskQuery | ConstructQuery:
     sc = _QueryScanner(text)
-    prefixes: dict[str, str] = {}
-    sc.skip_ws()
-    while sc.match_keyword("PREFIX"):
-        sc.skip_ws()
-        prefix, local = sc.read_pname()
-        if local:
-            raise sc.error("prefix declaration must end with ':'")
-        sc.skip_ws()
-        prefixes[prefix] = sc.read_iriref()
-        sc.skip_ws()
-
+    prefixes = parse_prologue(sc)
+    iris: dict[str, Iri] = {}
     if sc.match_keyword("SELECT"):
-        query = _parse_select(sc, prefixes)
+        query = _parse_select(sc, prefixes, iris)
     elif sc.match_keyword("ASK"):
-        where, graph = _parse_where(sc, prefixes, keyword_optional=True)
+        where, graph = _parse_where(sc, prefixes, iris, keyword_optional=True)
         query = AskQuery(where=where, graph=graph)
     elif sc.match_keyword("CONSTRUCT"):
-        query = _parse_construct(sc, prefixes)
+        query = _parse_construct(sc, prefixes, iris)
     else:
         raise sc.error("expected SELECT, ASK, or CONSTRUCT")
     sc.skip_ws()
@@ -124,7 +116,9 @@ def parse_query(text: str) -> SelectQuery | AskQuery | ConstructQuery:
     return query
 
 
-def _parse_select(sc: Scanner, prefixes: dict[str, str]) -> SelectQuery:
+def _parse_select(
+    sc: Scanner, prefixes: dict[str, str], iris: dict[str, Iri]
+) -> SelectQuery:
     sc.skip_ws()
     if sc.match_keyword("DISTINCT") or sc.match_keyword("REDUCED"):
         raise sc.error("unsupported feature: DISTINCT")
@@ -141,7 +135,7 @@ def _parse_select(sc: Scanner, prefixes: dict[str, str]) -> SelectQuery:
         if not names:
             raise sc.error("SELECT needs '*' or at least one variable")
 
-    where, graph = _parse_where(sc, prefixes, keyword_optional=False)
+    where, graph = _parse_where(sc, prefixes, iris, keyword_optional=False)
     if star:
         # First-appearance order, reading each pattern subject,
         # predicate, object.
@@ -188,11 +182,13 @@ def _parse_select(sc: Scanner, prefixes: dict[str, str]) -> SelectQuery:
     )
 
 
-def _parse_construct(sc: Scanner, prefixes: dict[str, str]) -> ConstructQuery:
+def _parse_construct(
+    sc: Scanner, prefixes: dict[str, str], iris: dict[str, Iri]
+) -> ConstructQuery:
     sc.skip_ws()
     sc.expect("{")
-    template, _ = _parse_triples_block(sc, prefixes, allow_binds=False)
-    where, graph = _parse_where(sc, prefixes, keyword_optional=False)
+    template, _ = parse_triples_block(sc, prefixes, iris, allow_binds=False)
+    where, graph = _parse_where(sc, prefixes, iris, keyword_optional=False)
     try:
         rule = MappingRule(
             name="construct-query",
@@ -207,7 +203,11 @@ def _parse_construct(sc: Scanner, prefixes: dict[str, str]) -> ConstructQuery:
 
 
 def _parse_where(
-    sc: Scanner, prefixes: dict[str, str], *, keyword_optional: bool
+    sc: Scanner,
+    prefixes: dict[str, str],
+    iris: dict[str, Iri],
+    *,
+    keyword_optional: bool,
 ) -> tuple[tuple[TriplePattern, ...], Iri | None]:
     sc.skip_ws()
     if not sc.match_keyword("WHERE") and not keyword_optional:
@@ -220,15 +220,15 @@ def _parse_where(
         sc.skip_ws()
         if sc.peek() == "?":
             raise sc.error("unsupported feature: GRAPH variable")
-        graph = _read_iri_or_pname(sc, prefixes)
+        graph = read_iri_or_pname(sc, prefixes, iris)
         sc.skip_ws()
         sc.expect("{")
-        patterns, _ = _parse_triples_block(sc, prefixes, allow_binds=False)
+        patterns, _ = parse_triples_block(sc, prefixes, iris, allow_binds=False)
         sc.skip_ws()
         if not sc.try_consume("}"):
             raise sc.error("unterminated block: expected '}'")
     else:
-        patterns, _ = _parse_triples_block(sc, prefixes, allow_binds=False)
+        patterns, _ = parse_triples_block(sc, prefixes, iris, allow_binds=False)
     return tuple(patterns), graph
 
 

@@ -24,14 +24,14 @@ from typing import Iterable, Iterator, Mapping
 from ._scan import ScanError, Scanner
 from .mint import encode_for_uri
 from .rdf import (
-    RDF_TYPE,
-    BlankNode,
     Graph,
     Iri,
     Literal,
     Term,
     Triple,
-    lang_literal,
+    read_iri_or_pname,
+    read_literal,
+    read_term,
 )
 from .vocab import load_table
 
@@ -175,8 +175,8 @@ def _expression_vars(e: Expression) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
-def parse_rule(text: str, name: str = "rule") -> MappingRule:
-    sc = _RuleScanner(text)
+def parse_prologue(sc: Scanner) -> dict[str, str]:
+    """Read the ``PREFIX`` declarations that open a rule or a query."""
     prefixes: dict[str, str] = {}
     sc.skip_ws()
     while sc.match_keyword("PREFIX"):
@@ -187,18 +187,24 @@ def parse_rule(text: str, name: str = "rule") -> MappingRule:
         sc.skip_ws()
         prefixes[prefix] = sc.read_iriref()
         sc.skip_ws()
+    return prefixes
 
+
+def parse_rule(text: str, name: str = "rule") -> MappingRule:
+    sc = _RuleScanner(text)
+    prefixes = parse_prologue(sc)
+    iris: dict[str, Iri] = {}
     if not sc.match_keyword("CONSTRUCT"):
         raise sc.error("expected CONSTRUCT")
     sc.skip_ws()
     sc.expect("{")
-    template, _ = _parse_triples_block(sc, prefixes, allow_binds=False)
+    template, _ = parse_triples_block(sc, prefixes, iris, allow_binds=False)
     sc.skip_ws()
     if not sc.match_keyword("WHERE"):
         raise sc.error("expected WHERE")
     sc.skip_ws()
     sc.expect("{")
-    where, binds = _parse_triples_block(sc, prefixes, allow_binds=True)
+    where, binds = parse_triples_block(sc, prefixes, iris, allow_binds=True)
     sc.skip_ws()
     if not sc.at_end():
         raise sc.error("unexpected content after WHERE block")
@@ -215,9 +221,11 @@ def parse_rule(text: str, name: str = "rule") -> MappingRule:
         raise RuleParseError(str(exc), sc.line, sc.column) from None
 
 
-def _parse_triples_block(
-    sc: Scanner, prefixes: Mapping[str, str], allow_binds: bool
+def parse_triples_block(
+    sc: Scanner, prefixes: dict[str, str], iris: dict[str, Iri], allow_binds: bool
 ) -> tuple[list[TriplePattern], list[BindClause]]:
+    """Read triple patterns (and BINDs when allowed) up to the closing
+    ``}``; *iris* caches the IRIs read during one parse."""
     patterns: list[TriplePattern] = []
     binds: list[BindClause] = []
     while True:
@@ -238,24 +246,27 @@ def _parse_triples_block(
             if sc.match_keyword("BIND"):
                 if not allow_binds:
                     raise sc.error("BIND is only allowed in the WHERE block")
-                binds.append(_parse_bind(sc, prefixes))
+                binds.append(_parse_bind(sc, prefixes, iris))
                 sc.skip_ws()
                 sc.try_consume(".")
                 continue
-        _parse_subject_block(sc, prefixes, patterns)
+        _parse_subject_block(sc, prefixes, iris, patterns)
 
 
 def _parse_subject_block(
-    sc: Scanner, prefixes: Mapping[str, str], patterns: list[TriplePattern]
+    sc: Scanner,
+    prefixes: dict[str, str],
+    iris: dict[str, Iri],
+    patterns: list[TriplePattern],
 ) -> None:
-    subject = _read_pattern_term(sc, prefixes, position="subject")
+    subject = _read_pattern_term(sc, "subject", prefixes, iris)
     while True:
         sc.skip_ws()
-        predicate = _read_pattern_term(sc, prefixes, position="predicate")
+        predicate = _read_pattern_term(sc, "predicate", prefixes, iris)
         _check_no_property_path(sc)
         while True:
             sc.skip_ws()
-            obj = _read_pattern_term(sc, prefixes, position="object")
+            obj = _read_pattern_term(sc, "object", prefixes, iris)
             try:
                 patterns.append(TriplePattern(subject, predicate, obj))
             except ValueError as exc:
@@ -278,10 +289,12 @@ def _check_no_property_path(sc: Scanner) -> None:
         raise sc.error("unsupported feature: property path")
 
 
-def _parse_bind(sc: Scanner, prefixes: Mapping[str, str]) -> BindClause:
+def _parse_bind(
+    sc: Scanner, prefixes: dict[str, str], iris: dict[str, Iri]
+) -> BindClause:
     sc.skip_ws()
     sc.expect("(")
-    expression = _parse_expression(sc, prefixes)
+    expression = _parse_expression(sc, prefixes, iris)
     sc.skip_ws()
     if not sc.match_keyword("AS"):
         raise sc.error("expected AS in BIND")
@@ -292,15 +305,17 @@ def _parse_bind(sc: Scanner, prefixes: Mapping[str, str]) -> BindClause:
     return BindClause(variable=variable, expression=expression)
 
 
-def _parse_expression(sc: Scanner, prefixes: Mapping[str, str]) -> Expression:
+def _parse_expression(
+    sc: Scanner, prefixes: dict[str, str], iris: dict[str, Iri]
+) -> Expression:
     sc.skip_ws()
     c = sc.peek()
     if c == "?":
         return VariableRef(sc.read_var_name())
     if c == '"':
-        return Constant(Literal(sc.read_string()))
+        return Constant(read_literal(sc, prefixes, iris))
     if c == "<":
-        return Constant(Iri(sc.read_iriref()))
+        return Constant(read_iri_or_pname(sc, prefixes, iris))
     name_start = sc.pos
     while sc.peek().isalpha() or sc.peek() == "_":
         sc.advance()
@@ -314,10 +329,10 @@ def _parse_expression(sc: Scanner, prefixes: Mapping[str, str]) -> Expression:
     sc.skip_ws()
     args: list[Expression] = []
     if not sc.try_consume(")"):
-        args.append(_parse_expression(sc, prefixes))
+        args.append(_parse_expression(sc, prefixes, iris))
         sc.skip_ws()
         while sc.try_consume(","):
-            args.append(_parse_expression(sc, prefixes))
+            args.append(_parse_expression(sc, prefixes, iris))
             sc.skip_ws()
         sc.expect(")")
     try:
@@ -327,53 +342,12 @@ def _parse_expression(sc: Scanner, prefixes: Mapping[str, str]) -> Expression:
 
 
 def _read_pattern_term(
-    sc: Scanner, prefixes: Mapping[str, str], position: str
+    sc: Scanner, position: str, prefixes: dict[str, str], iris: dict[str, Iri]
 ) -> PatternTerm:
     sc.skip_ws()
-    c = sc.peek()
-    if c == "?":
+    if sc.peek() == "?":
         return Variable(sc.read_var_name())
-    if c == "<":
-        return _read_iri_or_pname(sc, prefixes)
-    if c == "[":
-        raise sc.error("unsupported feature: blank node property list")
-    if c == "(":
-        raise sc.error("unsupported feature: collection")
-    if c == "_" and sc.peek(1) == ":":
-        return BlankNode(sc.read_bnode_label())
-    if c == '"':
-        if position != "object":
-            raise sc.error(f"literal not allowed in {position} position")
-        lexical = sc.read_string()
-        if sc.peek() == "@":
-            return lang_literal(lexical, sc.read_langtag())
-        if sc.try_consume("^^"):
-            dt = _read_iri_or_pname(sc, prefixes)
-            return Literal(lexical, dt)
-        return Literal(lexical)
-    if position == "predicate" and c == "a":
-        nxt = sc.peek(1)
-        if not (nxt.isalnum() or nxt in "_-:"):
-            sc.advance()
-            return Iri(RDF_TYPE)
-    if sc.looks_like_pname():
-        return _read_iri_or_pname(sc, prefixes)
-    found = c or "end of input"
-    raise sc.error(f"expected a term in {position} position, found {found!r}")
-
-
-def _read_iri_or_pname(sc: Scanner, prefixes: Mapping[str, str]) -> Iri:
-    if sc.peek() == "<":
-        value = sc.read_iriref()
-    else:
-        prefix, local = sc.read_pname()
-        if prefix not in prefixes:
-            raise sc.error(f"unknown prefix: {prefix!r}")
-        value = prefixes[prefix] + local
-    try:
-        return Iri(value)
-    except ValueError as exc:
-        raise sc.error(str(exc)) from None
+    return read_term(sc, position, prefixes, iris)
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +498,6 @@ def _instantiate(pattern: TriplePattern, binding: BindingSet) -> Triple | None:
     if isinstance(s, Literal) or not isinstance(p, Iri):
         return None
     return Triple(s, p, o)
-
-
-def apply_rule_pack(graph: Graph, rules: Iterable[MappingRule]) -> Graph:
-    """Union of every rule's output; rules see only the source graph."""
-    out = Graph()
-    for rule in rules:
-        out = out.union(apply_rule(graph, rule))
-    return out
 
 
 # ---------------------------------------------------------------------------

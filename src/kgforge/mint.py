@@ -1,21 +1,19 @@
 """Deterministic IRI minting.
 
-Node IRIs are derived from literal values, resource IRIs from the source
-record identifier plus its submission date, and named-graph IRIs from the
-submission date alone.  Everything here is pure: the same inputs always
-mint the same IRI, which is what makes re-ingestion idempotent and keeps
-graph output reproducible across runs.
+Resource IRIs are derived from the source record identifier plus its
+submission date, and named-graph IRIs from the submission date alone.
+Everything here is pure: the same inputs always mint the same IRI, which
+is what makes re-ingestion idempotent and keeps graph output reproducible
+across runs.
 """
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass
 from datetime import date
 
 from .rdf import Iri
 
-STRATEGIES = ("literal-encoded", "uuid")
 GRANULARITIES = ("month", "day")
 
 _UNRESERVED = frozenset(
@@ -44,27 +42,13 @@ class MintConfig:
     """Minting policy for one pipeline run."""
 
     base: Iri
-    strategy: str = "literal-encoded"
-    uuid_namespace: uuid.UUID = uuid.NAMESPACE_URL
     graph_granularity: str = "month"
 
     def __post_init__(self) -> None:
         if not self.base.value.endswith("/"):
             raise ValueError(f"mint base must end with '/': {self.base.value!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown mint strategy: {self.strategy!r}")
         if self.graph_granularity not in GRANULARITIES:
             raise ValueError(f"unknown graph granularity: {self.graph_granularity!r}")
-
-
-def mint_node_iri(cfg: MintConfig, lexical: str) -> Iri:
-    """Mint the IRI of a node that stands for the literal *lexical*."""
-    if not lexical:
-        raise ValueError("cannot mint a node IRI from an empty lexical form")
-    if cfg.strategy == "uuid":
-        name = uuid.uuid5(cfg.uuid_namespace, lexical)
-        return Iri(f"{cfg.base.value}nodes/{name}")
-    return Iri(f"{cfg.base.value}nodes/{encode_for_uri(lexical)}")
 
 
 def mint_resource_iri(

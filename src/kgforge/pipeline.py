@@ -31,7 +31,6 @@ import logging
 import os
 import shutil
 import time
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
@@ -124,8 +123,6 @@ class PipelineConfig:
             },
             "mint": {
                 "base": self.mint.base.value,
-                "strategy": self.mint.strategy,
-                "uuid_namespace": str(self.mint.uuid_namespace),
                 "graph_granularity": self.mint.graph_granularity,
             },
             "store_dir": str(self.store_dir),
@@ -147,7 +144,6 @@ _ENV_OVERRIDES = {
     "KGFORGE_SOURCE_RATE_LIMIT": ("source", "rate_limit", float),
     "KGFORGE_SOURCE_MAX_RETRIES": ("source", "max_retries", int),
     "KGFORGE_MINT_BASE": ("mint", "base", str),
-    "KGFORGE_MINT_STRATEGY": ("mint", "strategy", str),
     "KGFORGE_MINT_GRAPH_GRANULARITY": ("mint", "graph_granularity", str),
     "KGFORGE_STORE_DIR": (None, "store_dir", str),
     "KGFORGE_CACHE_DIR": (None, "cache_dir", str),
@@ -200,8 +196,6 @@ def config_from_json_dict(
         if "base" not in mint_doc:
             raise ConfigError("config is missing mint.base")
         mint_doc["base"] = Iri(mint_doc["base"])
-        if "uuid_namespace" in mint_doc:
-            mint_doc["uuid_namespace"] = uuid.UUID(mint_doc["uuid_namespace"])
         mint = MintConfig(**mint_doc)
 
         endpoint = doc.get("endpoint") or {}

@@ -8,6 +8,12 @@ and fixture files shipped with this project (``@prefix``, prefixed names,
 ``a``, ``;``/``,`` abbreviations; no collections, no ``[...]`` property
 lists).
 
+This module owns the term grammar: ``read_term`` reads the terms Turtle
+and SPARQL share, for the Turtle subset here and for the mapping rules
+and endpoint queries, which add only variables; ``read_literal`` is also
+the literal reader of N-Quads, whose short ``_read_term`` dispatch is the
+per-quad hot path of ``Store.load``.
+
 Serialization is canonical: triples are sorted by a total order over
 terms (blank node < IRI < literal, lexicographic within a kind), so equal
 graphs always produce byte-identical output.
@@ -152,12 +158,6 @@ def term_sort_key(t: Term) -> tuple:
     return (2, t.lexical, t.datatype.value, t.language or "")
 
 
-def compare_terms(a: Term, b: Term) -> int:
-    """Three-way comparison under the canonical order (-1, 0, or 1)."""
-    ka, kb = term_sort_key(a), term_sort_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
-
 def triple_sort_key(t: Triple) -> tuple:
     return (term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object))
 
@@ -270,8 +270,11 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# N-Triples / N-Quads
+# Term grammar
 # ---------------------------------------------------------------------------
+
+#: N-Quads declares no prefixes; its literals share the Turtle reader.
+_NO_PREFIXES: dict[str, str] = {}
 
 
 def _read_iri(sc: Scanner, iris: dict[str, Iri]) -> Iri:
@@ -287,23 +290,84 @@ def _read_iri(sc: Scanner, iris: dict[str, Iri]) -> Iri:
     return iri
 
 
-def _read_term(sc: Scanner, iris: dict[str, Iri], allow_bnode: bool = True) -> Term:
+def read_iri_or_pname(
+    sc: Scanner, prefixes: dict[str, str], iris: dict[str, Iri]
+) -> Iri:
+    """Read an IRIREF or a prefixed name declared in *prefixes*."""
+    if sc.peek() == "<":
+        return _read_iri(sc, iris)
+    prefix, local = sc.read_pname()
+    if prefix not in prefixes:
+        raise sc.error(f"unknown prefix: {prefix!r}")
+    try:
+        return Iri(prefixes[prefix] + local)
+    except ValueError as exc:
+        raise sc.error(str(exc)) from None
+
+
+def read_literal(
+    sc: Scanner, prefixes: dict[str, str], iris: dict[str, Iri]
+) -> Literal:
+    """Read a quoted literal with an optional ``@lang`` or ``^^datatype``."""
+    lexical = sc.read_string()
+    if sc.peek() == "@":
+        return lang_literal(lexical, sc.read_langtag())
+    if not sc.try_consume("^^"):
+        return Literal(lexical)
+    datatype = read_iri_or_pname(sc, prefixes, iris)
+    try:
+        return Literal(lexical, datatype)
+    except ValueError as exc:
+        raise sc.error(str(exc)) from None
+
+
+def read_term(
+    sc: Scanner, position: str, prefixes: dict[str, str], iris: dict[str, Iri]
+) -> Term:
+    """Read one term of the grammar Turtle and SPARQL share.
+
+    *position* is ``subject``, ``predicate`` or ``object``: literals are
+    allowed only as objects, and ``a`` means ``rdf:type`` only as a
+    predicate.  Errors are raised through ``sc.error``, so each parser
+    gets its own exception type with the position of the fault.
+    """
     c = sc.peek()
     if c == "<":
         return _read_iri(sc, iris)
-    if c == "_" and allow_bnode:
+    if c == "_" and sc.peek(1) == ":":
         return BlankNode(sc.read_bnode_label())
     if c == '"':
-        lexical = sc.read_string()
-        if sc.peek() == "@":
-            return lang_literal(lexical, sc.read_langtag())
-        if sc.try_consume("^^"):
-            datatype = _read_iri(sc, iris)
-            try:
-                return Literal(lexical, datatype)
-            except ValueError as exc:
-                raise sc.error(str(exc)) from None
-        return Literal(lexical)
+        if position != "object":
+            raise sc.error(f"literal not allowed in {position} position")
+        return read_literal(sc, prefixes, iris)
+    if c == "[":
+        raise sc.error("unsupported feature: blank node property list")
+    if c == "(":
+        raise sc.error("unsupported feature: collection")
+    if position == "predicate" and c == "a":
+        nxt = sc.peek(1)
+        if not (nxt.isalnum() or nxt in "_-:"):
+            sc.advance()
+            return Iri(RDF_TYPE)
+    if sc.looks_like_pname():
+        return read_iri_or_pname(sc, prefixes, iris)
+    found = c or "end of input"
+    raise sc.error(f"expected a term in {position} position, found {found!r}")
+
+
+# ---------------------------------------------------------------------------
+# N-Triples / N-Quads
+# ---------------------------------------------------------------------------
+
+
+def _read_term(sc: Scanner, iris: dict[str, Iri]) -> Term:
+    c = sc.peek()
+    if c == "<":
+        return _read_iri(sc, iris)
+    if c == "_":
+        return BlankNode(sc.read_bnode_label())
+    if c == '"':
+        return read_literal(sc, _NO_PREFIXES, iris)
     raise sc.error(f"expected RDF term, found {c!r}" if c else "unexpected end of line")
 
 
@@ -430,47 +494,6 @@ def parse_turtle_subset(text: str) -> Graph:
     iris: dict[str, Iri] = {}
     triples: list[Triple] = []
 
-    def resolve_pname() -> Iri:
-        prefix, local = sc.read_pname()
-        if prefix not in prefixes:
-            raise sc.error(f"unknown prefix: {prefix!r}")
-        try:
-            return Iri(prefixes[prefix] + local)
-        except ValueError as exc:
-            raise sc.error(str(exc)) from None
-
-    def read_node(position: str) -> Term:
-        c = sc.peek()
-        if c == "[":
-            raise sc.error("unsupported blank node property list")
-        if c == "(":
-            raise sc.error("unsupported collection")
-        if c == "<":
-            return _read_iri(sc, iris)
-        if c == "_" and sc.peek(1) == ":":
-            return BlankNode(sc.read_bnode_label())
-        if c == '"':
-            if position != "object":
-                raise sc.error(f"literal not allowed in {position} position")
-            lexical = sc.read_string()
-            if sc.peek() == "@":
-                return lang_literal(lexical, sc.read_langtag())
-            if sc.try_consume("^^"):
-                datatype = _read_iri(sc, iris) if sc.peek() == "<" else resolve_pname()
-                try:
-                    return Literal(lexical, datatype)
-                except ValueError as exc:
-                    raise sc.error(str(exc)) from None
-            return Literal(lexical)
-        if position == "predicate" and c == "a":
-            nxt = sc.peek(1)
-            if not (nxt.isalnum() or nxt in "_-:"):
-                sc.advance()
-                return Iri(RDF_TYPE)
-        if sc.looks_like_pname():
-            return resolve_pname()
-        raise sc.error(f"expected term, found {c!r}" if c else "unexpected end of input")
-
     while True:
         sc.skip_ws()
         if sc.at_end():
@@ -486,15 +509,15 @@ def parse_turtle_subset(text: str) -> Graph:
             sc.expect(".")
             continue
 
-        subject = read_node("subject")
+        subject = read_term(sc, "subject", prefixes, iris)
         while True:  # predicate-object list
             sc.skip_ws()
-            predicate = read_node("predicate")
+            predicate = read_term(sc, "predicate", prefixes, iris)
             if not isinstance(predicate, Iri):
                 raise sc.error("predicate must be an IRI")
             while True:  # object list
                 sc.skip_ws()
-                obj = read_node("object")
+                obj = read_term(sc, "object", prefixes, iris)
                 triples.append(Triple(subject, predicate, obj))  # type: ignore[arg-type]
                 sc.skip_ws()
                 if not sc.try_consume(","):

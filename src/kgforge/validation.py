@@ -126,25 +126,6 @@ class ValidationReport:
             ],
         }
 
-    def render_table(self) -> str:
-        """A plain-text table, one finding per row."""
-        if self.conforms:
-            return "conforms: no findings\n"
-        rows = [("severity", "source", "focus", "message")] + [
-            (f.severity, f.source, format_term(f.focus), f.message)
-            for f in self.findings
-        ]
-        widths = [max(len(row[col]) for row in rows) for col in range(3)]
-        lines = []
-        for severity, source, focus, message in rows:
-            lines.append(
-                "  ".join(
-                    (severity.ljust(widths[0]), source.ljust(widths[1]),
-                     focus.ljust(widths[2]), message)
-                ).rstrip()
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _report(findings: Iterable[Finding]) -> ValidationReport:
     ordered = sorted(

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from kgforge.cli import main
+from kgforge.pipeline import ConfigError, load_config
 from kgforge.rdf import Iri, Quad, parse_ntriples
 from kgforge.store import Store
 
@@ -163,6 +164,20 @@ class TestExitCodes:
         config.write_text("{not json")
         assert main(["-c", str(config), "stats"]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("strategy", "uuid"), ("uuid_namespace", "6ba7b811-9dad-11d1-80b4-00c04fd430c8")],
+    )
+    def test_removed_mint_key_exits_1(self, project, capsys, key, value):
+        config = project / "kgforge.json"
+        doc = json.loads(config.read_text())
+        doc["mint"][key] = value
+        config.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=key):
+            load_config(config, env={})
+        assert run_cli(project, "stats") == 1
+        assert key in capsys.readouterr().err
+
     def test_lock_contention_exits_2(self, project, capsys):
         (project / "store.lock").write_text("12345\n")
         assert run_cli(project, "run") == 2
@@ -214,3 +229,21 @@ class TestServe:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+
+def test_runtime_needs_only_the_standard_library():
+    # -S leaves site-packages off sys.path and -E ignores PYTHONPATH, so
+    # any third-party import fails here.
+    src = Path(__file__).parent.parent / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import kgforge.cli, kgforge.endpoint, kgforge.harvest, "
+        "kgforge.pipeline, kgforge.validation"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

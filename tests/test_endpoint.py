@@ -526,6 +526,23 @@ class TestHttp:
         status, _, _ = get(served, "/stats")
         assert status == 200
 
+    def test_invalid_term_is_a_positioned_400(self, served, capfd):
+        query = (
+            'SELECT ?s WHERE { ?s <http://ex.org/p> "x"^^'
+            "<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> }"
+        )
+        conn = http.client.HTTPConnection(*served.address, timeout=10)
+        try:
+            conn.request("GET", sparql_url(query))
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "(line 1, column 100)" in response.read().decode()
+        finally:
+            conn.close()
+        assert "Traceback" not in capfd.readouterr().err
+        status, _, _ = get(served, "/stats")
+        assert status == 200
+
     def test_short_post_body_408(self, served, monkeypatch, capfd):
         # The body promises 100 bytes and delivers 6, then the client
         # waits; the handler must answer rather than block forever.

@@ -3,16 +3,12 @@
 encode_for_uri is checked against two independent routes: a reference
 percent-decoder (urllib.parse.unquote in strict mode) must invert it,
 and urllib.parse.quote with an empty safe set must agree character for
-character.  The uuid strategy is checked against a by-hand RFC 4122
-version-5 construction rather than the library call the implementation
-itself uses.
+character.
 """
 
 from __future__ import annotations
 
-import hashlib
 import urllib.parse
-import uuid
 from datetime import date
 
 import pytest
@@ -22,22 +18,12 @@ from kgforge.mint import (
     MintConfig,
     encode_for_uri,
     mint_graph_iri,
-    mint_node_iri,
     mint_resource_iri,
 )
 from kgforge.rdf import Iri
 
 BASE = Iri("https://ditrare.ise.fiz-karlsruhe.de/chemotion-kg/")
 CFG = MintConfig(base=BASE)
-
-
-def uuid5_by_hand(namespace: uuid.UUID, name: str) -> str:
-    """RFC 4122 name-based SHA-1 UUID, built from raw bytes."""
-    digest = bytearray(hashlib.sha1(namespace.bytes + name.encode("utf-8")).digest()[:16])
-    digest[6] = (digest[6] & 0x0F) | 0x50  # version 5
-    digest[8] = (digest[8] & 0x3F) | 0x80  # RFC 4122 variant
-    hx = digest.hex()
-    return f"{hx[:8]}-{hx[8:12]}-{hx[12:16]}-{hx[16:20]}-{hx[20:]}"
 
 
 class TestEncodeForUri:
@@ -72,44 +58,9 @@ class TestMintConfig:
         with pytest.raises(ValueError, match="end with"):
             MintConfig(base=Iri("https://example.org/kg"))
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            MintConfig(base=BASE, strategy="random")
-
     def test_unknown_granularity_rejected(self):
         with pytest.raises(ValueError, match="granularity"):
             MintConfig(base=BASE, graph_granularity="year")
-
-
-class TestNodeIri:
-    def test_literal_encoded_example(self):
-        assert mint_node_iri(CFG, "NMR data") == Iri(
-            "https://ditrare.ise.fiz-karlsruhe.de/chemotion-kg/nodes/NMR%20data"
-        )
-
-    def test_empty_lexical_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            mint_node_iri(CFG, "")
-
-    @given(st.text(min_size=1))
-    def test_deterministic(self, lexical):
-        assert mint_node_iri(CFG, lexical) == mint_node_iri(CFG, lexical)
-
-    def test_uuid_strategy_matches_reference_construction(self):
-        cfg = MintConfig(base=BASE, strategy="uuid")
-        got = mint_node_iri(cfg, "NMR data")
-        expected = uuid5_by_hand(cfg.uuid_namespace, "NMR data")
-        assert got.value == f"{BASE.value}nodes/{expected}"
-
-    def test_uuid_strategy_deterministic_and_injective(self):
-        cfg = MintConfig(base=BASE, strategy="uuid")
-        assert mint_node_iri(cfg, "x") == mint_node_iri(cfg, "x")
-        assert mint_node_iri(cfg, "x") != mint_node_iri(cfg, "y")
-
-    def test_uuid_namespace_changes_output(self):
-        a = MintConfig(base=BASE, strategy="uuid")
-        b = MintConfig(base=BASE, strategy="uuid", uuid_namespace=uuid.NAMESPACE_DNS)
-        assert mint_node_iri(a, "x") != mint_node_iri(b, "x")
 
 
 class TestResourceIri:

@@ -15,13 +15,13 @@ from kgforge.rdf import (
     ParseError,
     Quad,
     Triple,
-    compare_terms,
     lang_literal,
     parse_nquads,
     parse_ntriples,
     parse_turtle_subset,
     serialize_nquads,
     serialize_ntriples,
+    term_sort_key,
 )
 
 from . import oracle
@@ -76,30 +76,30 @@ class TestTerms:
 
 class TestTermOrder:
     def test_kind_order(self):
-        assert compare_terms(BlankNode("b0"), Iri("http://a")) == -1
-        assert compare_terms(Iri("http://a"), Literal("a")) == -1
+        assert term_sort_key(BlankNode("b0")) < term_sort_key(Iri("http://a"))
+        assert term_sort_key(Iri("http://a")) < term_sort_key(Literal("a"))
 
     def test_reflexive_equal(self):
         t = Literal("x")
-        assert compare_terms(t, t) == 0
+        assert term_sort_key(t) == term_sort_key(t)
 
     @given(terms, terms)
     def test_antisymmetric(self, a, b):
-        assert compare_terms(a, b) == -compare_terms(b, a)
+        # a <= b and b <= a only when a == b: the key never ties two terms.
+        ka, kb = term_sort_key(a), term_sort_key(b)
+        assert (ka <= kb and kb <= ka) == (a == b)
 
     @given(terms, terms, terms)
     def test_transitive(self, a, b, c):
-        if compare_terms(a, b) <= 0 and compare_terms(b, c) <= 0:
-            assert compare_terms(a, c) <= 0
+        if term_sort_key(a) <= term_sort_key(b) <= term_sort_key(c):
+            assert term_sort_key(a) <= term_sort_key(c)
 
     @given(st.lists(terms, max_size=100))
     def test_sort_idempotent_and_deterministic(self, ts):
-        import functools
-
-        once = sorted(ts, key=functools.cmp_to_key(compare_terms))
-        twice = sorted(once, key=functools.cmp_to_key(compare_terms))
+        once = sorted(ts, key=term_sort_key)
+        twice = sorted(once, key=term_sort_key)
         assert once == twice
-        assert once == sorted(list(reversed(ts)), key=functools.cmp_to_key(compare_terms))
+        assert once == sorted(list(reversed(ts)), key=term_sort_key)
 
 
 # ---------------------------------------------------------------------------

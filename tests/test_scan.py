@@ -1,5 +1,6 @@
 """Scanner tests: exact error positions across every parser that shares
-the lexer, and N-Quads round trips through escape-heavy terms.
+the lexer, N-Quads round trips through escape-heavy terms, and every
+term read back the same by the four grammars that share the term reader.
 
 Each malformed term is embedded on line 2 of a document in each of the
 four grammars; the message, line and column are pinned so that any change
@@ -24,6 +25,7 @@ from kgforge.rdf import (
     ParseError,
     Quad,
     Triple,
+    format_term,
     lang_literal,
     parse_nquads,
     parse_ntriples,
@@ -31,6 +33,8 @@ from kgforge.rdf import (
     quad_sort_key,
     serialize_nquads,
 )
+
+from .strategies import terms
 
 #: Grammar -> (document with an ``{obj}`` slot on line 2, parser, error type).
 DOCUMENTS = {
@@ -176,6 +180,42 @@ def test_statement_error_position_pinned(parse, text, message):
 
 
 @pytest.mark.parametrize(
+    "parse, error_type, text, message",
+    [
+        (
+            parse_rule,
+            RuleParseError,
+            "CONSTRUCT { ?s <http://ex.org/p> ?o }\n"
+            "WHERE { ?s <http://ex.org/q> ?x . BIND(<foo> AS ?o) }",
+            "not an absolute IRI: 'foo' (line 2, column 45)",
+        ),
+        (
+            parse_rule,
+            RuleParseError,
+            "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+            'CONSTRUCT { ?s rdf:p ?o } WHERE { ?s rdf:q "x"^^rdf:langString }',
+            "rdf:langString literal requires a language tag (line 2, column 63)",
+        ),
+        (
+            parse_query,
+            QueryParseError,
+            'SELECT ?s\nWHERE { ?s <http://ex.org/p> "x"^^<%s> }' % RDF_LANGSTRING,
+            "rdf:langString literal requires a language tag (line 2, column 90)",
+        ),
+    ],
+    ids=["rule-bind-relative-iri", "rule-langstring-pname", "query-langstring"],
+)
+def test_term_validation_error_position_pinned(parse, error_type, text, message):
+    # Rules and queries read terms through the Turtle reader, so a term
+    # that fails validation is a positioned error of the parser's own
+    # type (a 400 at the endpoint), not a bare ValueError.
+    with pytest.raises(error_type) as info:
+        parse(text)
+    assert type(info.value) is error_type
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "text, iri",
     [
         (r"<http://ex.org/caf\u00E9>", "http://ex.org/café"),
@@ -230,3 +270,24 @@ def test_lang_literal_datatype_survives_round_trip():
     q = Quad(Triple(Iri("http://ex.org/s"), Iri("http://ex.org/p"), lang_literal('"\\', "en")))
     (back,) = parse_nquads(serialize_nquads([q]))
     assert back == q and back.triple.object.datatype == Iri(RDF_LANGSTRING)
+
+
+# ---------------------------------------------------------------------------
+# One term grammar
+# ---------------------------------------------------------------------------
+
+_S, _P = "<http://t/s>", "<http://t/p>"
+
+
+@given(terms)
+@settings(max_examples=60)
+def test_every_grammar_reads_a_term_back(t):
+    text = format_term(t)
+    (quad,) = parse_nquads(f"{_S} {_P} {text} .\n")
+    (triple,) = parse_turtle_subset(f"{_S} {_P} {text} .\n")
+    rule = parse_rule(f"CONSTRUCT {{ ?s {_P} {_S} }} WHERE {{ ?s {_P} {text} }}")
+    query = parse_query(f"SELECT ?s WHERE {{ ?s {_P} {text} }}")
+    assert quad.triple.object == t
+    assert triple.object == t
+    assert rule.where[0].object == t
+    assert query.where[0].object == t
