@@ -19,7 +19,6 @@ import logging
 import sys
 from typing import Sequence
 
-from .endpoint import EndpointServer
 from .pipeline import (
     ConfigError,
     PipelineConfig,
@@ -150,6 +149,9 @@ def cmd_stats(config: PipelineConfig) -> int:
 
 
 def cmd_serve(config: PipelineConfig) -> int:
+    # Only ``serve`` needs http.server; other commands skip its import.
+    from .endpoint import EndpointServer
+
     server = EndpointServer(config.store_dir, config.host, config.port)
     server.refresh()
     host, port = server.address

@@ -31,8 +31,6 @@ import logging
 import os
 import random
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -399,6 +397,11 @@ class Harvester:
         )
 
     def _fetch_json(self, url: str):
+        # Only ``http`` mode needs urllib.request; imported here so that
+        # directory harvests and the other commands skip it.
+        import urllib.error
+        import urllib.request
+
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             self._respect_rate_limit()

@@ -561,8 +561,10 @@ def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
             quads = parse_nquads(text)
             if quads:
                 graph = quads[0].graph
-            if graph is None:
-                continue
+                if graph is None:
+                    raise ValueError("store quads must carry a named graph")
+            elif graph is None:
+                continue  # an empty file for a graph never stored
             added, dropped = store.replace_graph(
                 graph, quads, source_records=records_per_graph.get(graph.value, 0)
             )
@@ -571,12 +573,11 @@ def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
         inserted += added
         removed += dropped
     store.persist(config.store_dir)
-    stats = store.stats()
     return LoadResult(
         inserted=inserted,
         removed=removed,
-        total=stats.total_triples,
-        graphs=stats.graph_count,
+        total=len(store),
+        graphs=len(store.graphs()),
         store=store,
     )
 

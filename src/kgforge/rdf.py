@@ -21,7 +21,7 @@ graphs always produce byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ._scan import ScanError, Scanner
@@ -81,6 +81,11 @@ class BlankNode:
         return f"_:{self.label}"
 
 
+# Shared by every plain and language-tagged literal.
+_XSD_STRING_IRI = Iri(XSD_STRING)
+_RDF_LANGSTRING_IRI = Iri(RDF_LANGSTRING)
+
+
 @dataclass(frozen=True, slots=True)
 class Literal:
     """A literal with its verbatim lexical form.
@@ -90,7 +95,7 @@ class Literal:
     """
 
     lexical: str
-    datatype: Iri = field(default_factory=lambda: Iri(XSD_STRING))
+    datatype: Iri = _XSD_STRING_IRI
     language: str | None = None
 
     def __post_init__(self):
@@ -138,7 +143,7 @@ class Quad:
 
 
 def lang_literal(lexical: str, language: str) -> Literal:
-    return Literal(lexical, Iri(RDF_LANGSTRING), language)
+    return Literal(lexical, _RDF_LANGSTRING_IRI, language)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The quad store: submission-date named graphs with idempotent loads.
 
-Quads live in memory in one set plus one graph -> subject index.
-Lookups by predicate or object go through triple views
-(``Store.triples``): one indexed ``Graph`` per named graph and one for
-their union, built on first use and kept until a load changes a quad.
+The store is a set of named graphs, as an RDF 1.1 dataset is: each
+graph is one immutable ``Graph`` that indexes itself on its first bound
+lookup.  A load that changes a graph swaps in a new ``Graph``, so no
+index can go stale.  ``triples()`` is the union of all graphs, built
+and indexed on first use and kept until a graph changes.
 
 Two operations change the store.  ``load_quads`` is a set-union insert.
 ``replace_graph`` makes a graph hold exactly the given quads, like
@@ -40,6 +41,7 @@ from .rdf import (
     Quad,
     Subject,
     Term,
+    Triple,
     parse_nquads,
     serialize_nquads,
 )
@@ -78,20 +80,17 @@ class _GraphEntry:
     """Manifest bookkeeping for one named graph."""
 
     filename: str
-    quad_count: int = 0
     loads: list[dict] = field(default_factory=list)
 
 
 class Store:
-    """An indexed set of quads; every quad belongs to a named graph."""
+    """A set of named graphs; every quad belongs to a named graph."""
 
     def __init__(self) -> None:
-        self._quads: set[Quad] = set()
-        # graph -> subject -> quads: serves persistence, per-graph
-        # counts and the per-graph views.
-        self._gspo: dict[Iri, dict[Subject, set[Quad]]] = {}
-        # graph (None: the union) -> indexed triple view.
-        self._views: dict[Iri | None, Graph] = {}
+        # Non-empty graphs only: an emptied graph keeps its manifest
+        # entry but leaves this map.
+        self._graphs: dict[Iri, Graph] = {}
+        self._union: Graph | None = None
         self._manifest: dict[Iri, _GraphEntry] = {}
         # The directory the store was loaded from or last persisted to,
         # and the graphs changed since.
@@ -101,19 +100,21 @@ class Store:
     # -- basic views ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._quads)
+        return sum(map(len, self._graphs.values()))
 
     def __iter__(self) -> Iterator[Quad]:
-        return iter(self._quads)
+        for graph, triples in self._graphs.items():
+            for t in triples:
+                yield Quad(t, graph)
 
     def __contains__(self, quad: Quad) -> bool:
-        return quad in self._quads
+        return quad.triple in self._graphs.get(quad.graph, ())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Store) and self._quads == other._quads
+        return isinstance(other, Store) and self._graphs == other._graphs
 
     def graphs(self) -> set[Iri]:
-        return set(self._gspo)
+        return set(self._graphs)
 
     def graph_entry(self, graph: Iri) -> _GraphEntry:
         return self._manifest[graph]
@@ -121,23 +122,19 @@ class Store:
     def triples(self, graph: Iri | None = None) -> Graph:
         """Triples of one graph, or of the union of all graphs.
 
-        The view is built and indexed on first use and the same object
-        is returned until a load inserts a quad.  Building is
-        idempotent, so threads reading one store may race on it; an
-        unknown graph gets an empty view that is not kept.
+        A named graph is the stored ``Graph`` itself.  The union is
+        built and indexed on first use and the same object is returned
+        until a load changes a graph.  Building is idempotent, so
+        threads reading one store may race on it.
         """
-        view = self._views.get(graph)
-        if view is None:
-            if graph is None:
-                view = Graph(q.triple for q in self._quads)
-            elif graph in self._gspo:
-                by_subject = self._gspo[graph]
-                view = Graph(q.triple for quads in by_subject.values() for q in quads)
-            else:
-                return Graph()
-            view._index()
-            self._views[graph] = view
-        return view
+        if graph is not None:
+            return self._graphs.get(graph) or Graph()
+        union = self._union
+        if union is None:
+            union = Graph(itertools.chain.from_iterable(self._graphs.values()))
+            union._index()
+            self._union = union
+        return union
 
     # -- ingestion -----------------------------------------------------
 
@@ -150,33 +147,31 @@ class Store:
     ) -> int:
         """Set-union insert; returns the number of genuinely new quads.
 
-        A load event is recorded in the manifest only for graphs that
-        actually received a new quad, so replaying a batch changes
-        nothing, including timestamps.
+        The whole batch is checked before the store changes.  A load
+        event is recorded in the manifest only for graphs that actually
+        received a new quad, so replaying a batch changes nothing,
+        including timestamps.
         """
-        inserted_per_graph: dict[Iri, int] = {}
+        batch: dict[Iri, list[Triple]] = {}
         for quad in quads:
             if quad.graph is None:
                 raise ValueError("store quads must carry a named graph")
-            if self._insert(quad):
-                inserted_per_graph[quad.graph] = inserted_per_graph.get(quad.graph, 0) + 1
-        if inserted_per_graph:
-            self._views.clear()
-            self._dirty.update(inserted_per_graph)
-            stamp = (loaded_at or datetime.now(timezone.utc)).isoformat()
-            for graph, inserted in inserted_per_graph.items():
-                entry = self._manifest[graph]
-                entry.quad_count = sum(
-                    len(quads) for quads in self._gspo[graph].values()
-                )
-                entry.loads.append(
-                    {
-                        "at": stamp,
-                        "inserted": inserted,
-                        "source_records": source_records,
-                    }
-                )
-        return sum(inserted_per_graph.values())
+            batch.setdefault(quad.graph, []).append(quad.triple)
+        stamp = (loaded_at or datetime.now(timezone.utc)).isoformat()
+        total = 0
+        for graph, triples in batch.items():
+            old = self.triples(graph)
+            new = old.union(triples)
+            inserted = len(new) - len(old)
+            if not inserted:
+                continue
+            self._put(graph, new)
+            entry = self._manifest.setdefault(graph, _GraphEntry(graph_filename(graph)))
+            entry.loads.append(
+                {"at": stamp, "inserted": inserted, "source_records": source_records}
+            )
+            total += inserted
+        return total
 
     def replace_graph(
         self,
@@ -198,52 +193,31 @@ class Store:
         for quad in quads:
             if quad.graph != graph:
                 raise ValueError(f"quad for graph {quad.graph} in a replacement of {graph}")
-        old = self._graph_quads(graph)
-        stale = old.difference(quads) if old else set()
-        for quad in stale:
-            self._discard(quad)
+        wanted = {q.triple for q in quads}
+        old = self.triples(graph)
+        kept = [t for t in old if t in wanted]
+        removed = len(old) - len(kept)
+        if removed:
+            self._put(graph, Graph(kept))
         loaded_at = loaded_at or datetime.now(timezone.utc)
         inserted = self.load_quads(quads, source_records=source_records, loaded_at=loaded_at)
-        if stale:
-            self._views.clear()
-            self._dirty.add(graph)
-            entry = self._manifest[graph]
-            entry.quad_count = len(old) - len(stale) + inserted
+        if removed:
+            loads = self._manifest[graph].loads
             if not inserted:
-                entry.loads.append(
-                    {
-                        "at": loaded_at.isoformat(),
-                        "inserted": 0,
-                        "source_records": source_records,
-                    }
+                loads.append(
+                    {"at": loaded_at.isoformat(), "inserted": 0, "source_records": source_records}
                 )
-            entry.loads[-1]["removed"] = len(stale)
-        return inserted, len(stale)
+            loads[-1]["removed"] = removed
+        return inserted, removed
 
-    def _insert(self, quad: Quad) -> bool:
-        # One hash of the quad decides novelty: ``add`` leaves the size
-        # unchanged for a quad already present.
-        size = len(self._quads)
-        self._quads.add(quad)
-        if len(self._quads) == size:
-            return False
-        if quad.graph not in self._manifest:
-            self._manifest[quad.graph] = _GraphEntry(filename=graph_filename(quad.graph))
-        self._gspo.setdefault(quad.graph, {}).setdefault(quad.triple.subject, set()).add(quad)
-        return True
-
-    def _discard(self, quad: Quad) -> None:
-        self._quads.remove(quad)
-        by_subject = self._gspo[quad.graph]
-        same_subject = by_subject[quad.triple.subject]
-        same_subject.remove(quad)
-        if not same_subject:
-            del by_subject[quad.triple.subject]
-            if not by_subject:
-                del self._gspo[quad.graph]
-
-    def _graph_quads(self, graph: Iri) -> set[Quad]:
-        return {q for quads in self._gspo.get(graph, {}).values() for q in quads}
+    def _put(self, graph: Iri, triples: Graph) -> None:
+        """Swap in the new content of a changed graph."""
+        if triples:
+            self._graphs[graph] = triples
+        else:
+            del self._graphs[graph]
+        self._union = None
+        self._dirty.add(graph)
 
     # -- lookup ----------------------------------------------------------
 
@@ -256,9 +230,9 @@ class Store:
     ) -> Iterator[Quad]:
         """All quads matching the bound positions; ``None`` is a wildcard.
 
-        Each named graph's triple view answers for its own quads.
+        Each named graph answers for its own quads.
         """
-        for g in self._gspo if graph is None else (graph,):
+        for g in self._graphs if graph is None else (graph,):
             for t in self.triples(g).match(subject, predicate, obj):
                 yield Quad(t, g)
 
@@ -268,16 +242,15 @@ class Store:
         rdf_type = Iri(RDF_TYPE)
         per_class: dict[Iri, set[Subject]] = {}
         per_predicate: dict[Iri, int] = {}
-        for quad in self._quads:
-            t = quad.triple
+        for t in itertools.chain.from_iterable(self._graphs.values()):
             per_predicate[t.predicate] = per_predicate.get(t.predicate, 0) + 1
             if t.predicate == rdf_type and isinstance(t.object, Iri):
                 per_class.setdefault(t.object, set()).add(t.subject)
         return StoreStats(
-            total_triples=len(self._quads),
+            total_triples=len(self),
             per_class={cls: len(subjects) for cls, subjects in per_class.items()},
             per_predicate=per_predicate,
-            graph_count=len(self._gspo),
+            graph_count=len(self._graphs),
         )
 
     # -- persistence -----------------------------------------------------
@@ -303,14 +276,21 @@ class Store:
         graphs_dir = directory / GRAPHS_DIR
         graphs_dir.mkdir(parents=True, exist_ok=True)
         manifest_doc = {
-            graph.value: {"file": entry.filename, "quads": entry.quad_count, "loads": entry.loads}
+            graph.value: {
+                "file": entry.filename,
+                "quads": len(self.triples(graph)),
+                "loads": entry.loads,
+            }
             for graph, entry in self._manifest.items()
         }
         text = json.dumps({"graphs": manifest_doc}, indent=2, sort_keys=True) + "\n"
         # A generator: each graph is serialized just before its temp file
         # is written, so only one graph's text is held at a time.
         files = (
-            (graphs_dir / self._manifest[graph].filename, serialize_nquads(self._graph_quads(graph)))
+            (
+                graphs_dir / self._manifest[graph].filename,
+                serialize_nquads(Quad(t, graph) for t in self.triples(graph)),
+            )
             for graph in sorted(changed, key=lambda g: g.value)
         )
         replace_files(itertools.chain(files, [(manifest_path, text)]))
@@ -355,17 +335,15 @@ class Store:
                         f"{filename} contains a quad for {quad.graph}, "
                         f"expected {graph_value}"
                     )
-                store._insert(quad)
-            loaded = store._graph_quads(graph)
-            if len(loaded) != expected_count:
+            triples = Graph(q.triple for q in quads)
+            if len(triples) != expected_count:
                 raise CorruptManifest(
-                    f"{filename} holds {len(loaded)} quads, "
+                    f"{filename} holds {len(triples)} quads, "
                     f"manifest says {expected_count}"
                 )
-            entry = store._manifest.setdefault(graph, _GraphEntry(filename=filename))
-            entry.filename = filename
-            entry.quad_count = expected_count
-            entry.loads = list(loads)
+            if triples:
+                store._graphs[graph] = triples
+            store._manifest[graph] = _GraphEntry(filename, list(loads))
         store._home = directory.resolve()
         return store
 

@@ -247,3 +247,21 @@ def test_runtime_needs_only_the_standard_library():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_batch_commands_skip_the_network_modules():
+    # http.server is needed by serve alone, urllib.request by http
+    # harvests alone; every other command should not pay their import.
+    src = Path(__file__).parent.parent / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import kgforge.cli; "
+        "print(sorted({'http.server', 'urllib.request'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ from datetime import date, datetime
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kgforge.jsonld import (
     JsonLdContext,
@@ -259,6 +259,9 @@ _payloads = st.recursive(
 
 
 class TestDeterminism:
+    # Generating the recursive payloads can stall on a loaded host; the
+    # examples and assertions are the same either way.
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     @given(_payloads)
     def test_to_rdf_is_pure(self, payload):
         a = to_rdf(record(payload), load_default_context())
@@ -266,6 +269,7 @@ class TestDeterminism:
         assert a == b
         assert serialize_ntriples(a) == serialize_ntriples(b)
 
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     @given(_payloads, st.text(min_size=1, max_size=20))
     def test_relabel_is_pure(self, payload, scope):
         g = to_rdf(record(payload), load_default_context())

@@ -313,6 +313,29 @@ class TestStages:
         with pytest.raises(StageError, match="bad staged file 2014-06.nq"):
             stage_load(cfg)
 
+    @pytest.mark.parametrize(
+        "stripped",
+        [slice(None), slice(0, 1), slice(1, 2)],
+        ids=["every-line", "first-line", "second-line"],
+    )
+    def test_staged_quad_without_a_graph_is_a_stage_error(self, tmp_path, stripped):
+        cfg = make_config(tmp_path)
+        stage_harvest(cfg)
+        stage_transform(cfg)
+        stage_load(cfg)
+        store_files = {
+            p: p.read_bytes() for p in sorted(cfg.store_dir.rglob("*")) if p.is_file()
+        }
+        staged = cfg.staging_dir / "2014-05.nq"
+        lines = staged.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[stripped] = [line.rsplit(" <", 1)[0] + " .\n" for line in lines[stripped]]
+        staged.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(StageError, match="bad staged file 2014-05.nq"):
+            stage_load(cfg)
+        assert {
+            p: p.read_bytes() for p in sorted(cfg.store_dir.rglob("*")) if p.is_file()
+        } == store_files
+
     def test_transform_skips_broken_cached_record(self, tmp_path, caplog):
         cfg = make_config(tmp_path)
         stage_harvest(cfg)

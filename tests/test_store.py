@@ -67,12 +67,21 @@ class TestLoadQuads:
         with pytest.raises(ValueError, match="named graph"):
             Store().load_quads([Quad(Q1.triple, None)], loaded_at=T1)
 
+    def test_a_rejected_batch_changes_nothing(self):
+        store = Store()
+        with pytest.raises(ValueError, match="named graph"):
+            store.load_quads([Q1, Quad(Q2.triple, None)], loaded_at=T1)
+        assert store == Store()
+        assert store.graphs() == set()
+        with pytest.raises(KeyError):
+            store.graph_entry(G_MAY)
+
     def test_load_event_recorded_per_touched_graph(self):
         store = Store()
         store.load_quads([Q1, Q2, Q3], source_records=3, loaded_at=T1)
         may = store.graph_entry(G_MAY)
         june = store.graph_entry(G_JUNE)
-        assert may.quad_count == 2 and june.quad_count == 1
+        assert len(store.triples(G_MAY)) == 2 and len(store.triples(G_JUNE)) == 1
         assert may.loads == [
             {"at": T1.isoformat(), "inserted": 2, "source_records": 3}
         ]
@@ -91,7 +100,7 @@ class TestReplaceGraph:
         q4 = Quad(Triple(ex("d4"), ex("p"), Literal("z")), G_MAY)
         assert store.replace_graph(G_MAY, [Q1, q4], loaded_at=T2) == (1, 1)
         assert set(store) == {Q1, q4, Q3}
-        assert store.graph_entry(G_MAY).quad_count == 2
+        assert len(store.triples(G_MAY)) == 2
         assert store.graph_entry(G_MAY).loads[-1] == {
             "at": T2.isoformat(),
             "inserted": 1,
@@ -147,7 +156,8 @@ class TestReplaceGraph:
         store.persist(tmp_path)
         loaded = Store.load(tmp_path)
         assert loaded == store
-        assert loaded.graph_entry(G_MAY).quad_count == 0
+        assert len(loaded.triples(G_MAY)) == 0
+        assert loaded.graph_entry(G_MAY).filename == "2014-05.nq"
         assert (tmp_path / "graphs" / "2014-05.nq").read_bytes() == b""
 
 
@@ -257,6 +267,15 @@ class TestTriplesView:
         assert store.load_quads([Q1, Q2, Q3], loaded_at=T2) == 0
         assert store.triples(graph) is before
 
+    def test_a_load_keeps_the_views_of_other_graphs(self):
+        store = store_with(Q1, Q2)
+        may = store.triples(G_MAY)
+        assert list(may.match(Q1.triple.subject)) == [Q1.triple]
+        index = may._maps
+        assert store.load_quads([Q3], loaded_at=T2) == 1
+        assert store.triples(G_MAY) is may
+        assert may._maps is index
+
     def test_union_deduplicates_across_graphs(self):
         shared = Triple(ex("d"), ex("p"), Literal("x"))
         store = store_with(Quad(shared, G_MAY), Quad(shared, G_JUNE))
@@ -305,6 +324,7 @@ class TestLookupsUseTheIndex:
 
     def test_bound_subject_select(self, golden_store, walks):
         subject = next(iter(golden_store)).triple.subject
+        walks.clear()  # iterating the store walks its graph
         query = parse_query(f"SELECT ?p ?o WHERE {{ <{subject.value}> ?p ?o }}")
         assert execute_select(golden_store, query).rows
         assert walks == []
