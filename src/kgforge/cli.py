@@ -32,7 +32,7 @@ from .pipeline import (
     stage_validate,
     store_lock,
 )
-from .store import StoreStats
+from .store import CorruptManifest, StoreStats
 
 logger = logging.getLogger(__name__)
 
@@ -234,6 +234,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _dispatch(args, config)
     except StageError as exc:
         print(f"kgforge: error: {exc}", file=sys.stderr)
+        return EXIT_STAGE_FAILURE
+    except CorruptManifest as exc:
+        print(f"kgforge: error: corrupt store {config.store_dir}: {exc}", file=sys.stderr)
         return EXIT_STAGE_FAILURE
 
 

@@ -60,6 +60,8 @@ NQUADS = "application/n-quads"
 
 #: Seconds a POST body may take to arrive before the handler answers 408.
 BODY_TIMEOUT_S = 30.0
+#: Bytes a POST body may declare; a larger one gets 413 without being read.
+MAX_BODY_BYTES = 1 << 20
 
 
 class QueryParseError(ScanError):
@@ -460,6 +462,11 @@ class _Handler(BaseHTTPRequestHandler):
             # another request.
             self._error(400, f"invalid Content-Length: {declared!r}", close=True)
             return
+        if int(declared) > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self._error(413, f"request body over {MAX_BODY_BYTES} bytes", close=True)
+            return
         # The timeout covers the body read only: a socket in timeout mode
         # polls before every recv and send, and each poll releases the
         # GIL, which lengthens the tail of short requests that compete
@@ -521,13 +528,14 @@ class _Handler(BaseHTTPRequestHandler):
             return
         year, month = int(parts[0]), int(parts[1])
         suffix = f"/{year}/{month:02d}"
-        matching = [
-            g
-            for g in snapshot.graphs()
-            if g.value.endswith(suffix) or f"{suffix}/" in g.value
-        ]
+        matching = sorted(
+            (g for g in snapshot.graphs() if g.value.endswith(suffix) or f"{suffix}/" in g.value),
+            key=lambda g: g.value,
+        )
         if not matching:
             self._error(404, f"no partition for {year}-{month:02d}")
             return
-        quads = [q for g in matching for q in snapshot.match(graph=g)]
-        self._reply(200, NQUADS, serialize_nquads(quads).encode())
+        # Canonical order sorts by graph first, so the export is the
+        # matching graphs' canonical texts in IRI order.
+        body = "".join(serialize_nquads(snapshot.triples(g), g) for g in matching)
+        self._reply(200, NQUADS, body.encode())

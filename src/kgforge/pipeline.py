@@ -57,7 +57,7 @@ from .jsonld import (
 )
 from .mapping import MappingRule, apply_rule, parse_rules, rule_pack_sources
 from .mint import MintConfig, mint_graph_iri, mint_resource_iri
-from .rdf import Graph, Iri, Quad, parse_nquads, serialize_nquads
+from .rdf import Graph, Iri, parse_nquads, serialize_nquads
 from .store import GRAPHS_DIR, MANIFEST_NAME, Store, graph_filename
 from .validation import (
     PatternRule,
@@ -479,7 +479,7 @@ def stage_transform(config: PipelineConfig) -> TransformResult:
             if not records:
                 skipped += dropped
                 continue
-            data = serialize_nquads(Quad(t, graph_iri) for t in triples).encode("utf-8")
+            data = serialize_nquads(triples, graph_iri).encode("utf-8")
             write_atomic(path, data)
             meta = {
                 "file": path.name,

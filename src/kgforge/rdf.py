@@ -11,12 +11,17 @@ lists).
 This module owns the term grammar: ``read_term`` reads the terms Turtle
 and SPARQL share, for the Turtle subset here and for the mapping rules
 and endpoint queries, which add only variables; ``read_literal`` is also
-the literal reader of N-Quads, whose short ``_read_term`` dispatch is the
-per-quad hot path of ``Store.load``.
+the literal reader of N-Quads, whose short ``_read_term`` dispatch reads
+each distinct term text of a document once: a line laid out as the
+serializers write it is split into term texts, and a text met before is
+the same term object again.  Any other line is read character by
+character, which also positions every syntax error.
 
 Serialization is canonical: triples are sorted by a total order over
 terms (blank node < IRI < literal, lexicographic within a kind), so equal
-graphs always produce byte-identical output.
+graphs always produce byte-identical output.  One line writer formats a
+graph's distinct triples; canonical N-Quads sort by graph first, so a
+dataset's text is its graphs' texts in graph order.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ class Iri:
         scheme_end = self.value.find(":")
         if scheme_end <= 0 or not self.value[0].isalpha():
             raise ValueError(f"not an absolute IRI: {self.value!r}")
-        if not all(c.isalnum() or c in "+.-" for c in self.value[:scheme_end]):
+        scheme = self.value[:scheme_end]
+        if not (scheme.isalnum() or all(c.isalnum() or c in "+.-" for c in scheme)):
             raise ValueError(f"invalid IRI scheme in {self.value!r}")
         bad = _IRI_FORBIDDEN.intersection(self.value)
         if bad:
@@ -164,7 +170,18 @@ def term_sort_key(t: Term) -> tuple:
 
 
 def triple_sort_key(t: Triple) -> tuple:
-    return (term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object))
+    """The keys of subject, predicate and object, flattened.
+
+    Each kind's key has a fixed length, so the flat tuple sorts as the
+    three keys would in turn, with cheaper comparisons; IRIs, the
+    common case, are keyed inline.
+    """
+    s, o = t.subject, t.object
+    return (
+        ((1, s.value) if isinstance(s, Iri) else term_sort_key(s))
+        + (t.predicate.value,)
+        + ((1, o.value) if isinstance(o, Iri) else term_sort_key(o))
+    )
 
 
 def quad_sort_key(q: Quad) -> tuple:
@@ -270,9 +287,6 @@ class Graph:
         rdf_type = Iri(RDF_TYPE)
         return {t.subject for t in self.match(predicate=rdf_type, obj=cls)}
 
-    def sorted(self) -> list[Triple]:
-        return sorted(self._triples, key=triple_sort_key)
-
 
 # ---------------------------------------------------------------------------
 # Term grammar
@@ -376,76 +390,139 @@ def _read_term(sc: Scanner, iris: dict[str, Iri]) -> Term:
     raise sc.error(f"expected RDF term, found {c!r}" if c else "unexpected end of line")
 
 
-def _parse_lines(text: str, max_terms: int) -> Iterator[tuple[list[Term], Scanner]]:
-    """The terms of each statement line, with the line's scanner for
-    errors raised after the terms are read; blank lines are skipped."""
-    iris: dict[str, Iri] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        sc = _RdfScanner(line, line_offset=lineno - 1)
-        sc.skip_ws()
+def _split_statement(line: str, max_terms: int) -> list[str] | None:
+    """The term texts of a statement line laid out as the serializers
+    write it: three to *max_terms* terms, one space after each, then
+    ``.``; ``None`` for any other line.
+
+    Only a literal may hold a space or a quote, and a statement holds at
+    most one literal, so the first and last quotes of a line delimit it;
+    a line with two literals yields a text its reader does not consume
+    whole.
+    """
+    first = line.find('"')
+    if first < 0:
+        texts = line.split(" ")
+    else:
+        last = line.rfind('"')
+        head = line[:first].split(" ")
+        tail = line[last + 1 :].split(" ")
+        if head[-1]:
+            return None
+        head[-1] = line[first : last + 1] + tail[0]
+        texts = head + tail[1:]
+    if texts.pop() != "." or not 3 <= len(texts) <= max_terms:
+        return None
+    return texts
+
+
+def _read_texts(
+    texts: list[str], known: dict[str, Term], iris: dict[str, Iri]
+) -> list[Term] | None:
+    """The terms *texts* spell, each distinct text read once per
+    *known* cache; ``None`` if a text does not read as one whole term."""
+    terms = []
+    for text in texts:
+        term = known.get(text)
+        if term is None:
+            sc = _RdfScanner(text)
+            try:
+                term = _read_term(sc, iris)
+            except ValueError:
+                return None
+            if not sc.at_end():
+                return None
+            known[text] = term
+        terms.append(term)
+    return terms
+
+
+def _read_statement(
+    line: str, lineno: int, max_terms: int, iris: dict[str, Iri]
+) -> list[Term] | None:
+    """The terms of one line, read character by character with every
+    syntax error positioned; ``None`` for a blank or comment line."""
+    sc = _RdfScanner(line, line_offset=lineno - 1)
+    sc.skip_ws()
+    if sc.at_end():
+        return None
+    terms: list[Term] = []
+    while not sc.try_consume("."):
         if sc.at_end():
-            continue
-        terms: list[Term] = []
-        while not sc.try_consume("."):
-            if sc.at_end():
-                raise sc.error("statement not terminated by '.'")
-            if len(terms) == max_terms:
-                raise sc.error("too many terms in statement")
-            terms.append(_read_term(sc, iris))
-            sc.skip_ws()
+            raise sc.error("statement not terminated by '.'")
+        if len(terms) == max_terms:
+            raise sc.error("too many terms in statement")
+        terms.append(_read_term(sc, iris))
         sc.skip_ws()
-        if not sc.at_end():
-            raise sc.error("trailing characters after '.'")
-        if len(terms) < 3:
-            raise sc.error("statement has fewer than three terms")
-        sc.pos = 0  # errors about the statement as a whole point at its start
-        yield terms, sc
+    sc.skip_ws()
+    if not sc.at_end():
+        raise sc.error("trailing characters after '.'")
+    if len(terms) < 3:
+        raise sc.error("statement has fewer than three terms")
+    return terms
 
 
-def _make_triple(terms: list[Term], sc: Scanner) -> Triple:
+def _parse_lines(text: str, max_terms: int) -> Iterator[tuple[list[Term], int]]:
+    """The terms of each statement line, with its line number; blank
+    lines are skipped.
+
+    Each distinct term text is read once per call: later occurrences
+    are the same object.  A line that ``_split_statement`` does not
+    take, or with a text that does not read as one whole term, goes
+    through ``_read_statement``, which reads the same terms or raises
+    the positioned error.
+    """
+    iris: dict[str, Iri] = {}
+    known: dict[str, Term] = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        texts = _split_statement(line, max_terms)
+        terms = None if texts is None else _read_texts(texts, known, iris)
+        if terms is None:
+            terms = _read_statement(line, lineno, max_terms, iris)
+            if terms is None:
+                continue
+        yield terms, lineno
+
+
+def _make_triple(terms: list[Term], lineno: int) -> Triple:
     try:
         return Triple(terms[0], terms[1], terms[2])  # type: ignore[arg-type]
     except ValueError as exc:
-        raise sc.error(str(exc)) from None
+        # Errors about the statement as a whole point at its line's start.
+        raise ParseError(str(exc), lineno, 1) from None
 
 
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples text into a Graph (duplicates collapse)."""
-    return Graph(_make_triple(terms, sc) for terms, sc in _parse_lines(text, 3))
+    return Graph(_make_triple(terms, lineno) for terms, lineno in _parse_lines(text, 3))
 
 
 def parse_nquads(text: str) -> list[Quad]:
     """Parse N-Quads text; the fourth (graph) term is optional per statement."""
     quads = []
-    for terms, sc in _parse_lines(text, 4):
-        triple = _make_triple(terms, sc)
+    for terms, lineno in _parse_lines(text, 4):
+        triple = _make_triple(terms, lineno)
         graph = None
         if len(terms) == 4:
-            if not isinstance(terms[3], Iri):
-                raise sc.error("graph term must be an IRI")
             graph = terms[3]
+            if not isinstance(graph, Iri):
+                raise ParseError("graph term must be an IRI", lineno, 1)
         quads.append(Quad(triple, graph))
     return quads
 
 
-def _escape_literal(s: str) -> str:
-    out = []
-    for c in s:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\r":
-            out.append("\\r")
-        elif c == "\t":
-            out.append("\\t")
-        elif ord(c) < 0x20 or ord(c) == 0x7F:
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+#: What a literal's lexical form escapes: backslash, quote, and the
+#: control characters, with a short escape where N-Triples has one.
+_LITERAL_ESCAPES = {
+    **{c: f"\\u{c:04X}" for c in (*range(0x20), 0x7F)},
+    ord("\\"): "\\\\",
+    ord('"'): '\\"',
+    ord("\n"): "\\n",
+    ord("\r"): "\\r",
+    ord("\t"): "\\t",
+}
 
 
 def format_term(t: Term) -> str:
@@ -453,7 +530,7 @@ def format_term(t: Term) -> str:
         return f"<{t.value}>"
     if isinstance(t, BlankNode):
         return f"_:{t.label}"
-    body = f'"{_escape_literal(t.lexical)}"'
+    body = f'"{t.lexical.translate(_LITERAL_ESCAPES)}"'
     if t.language:
         return f"{body}@{t.language}"
     if t.datatype.value == XSD_STRING:
@@ -461,25 +538,38 @@ def format_term(t: Term) -> str:
     return f"{body}^^<{t.datatype.value}>"
 
 
-def format_triple(t: Triple) -> str:
-    return f"{format_term(t.subject)} {format_term(t.predicate)} {format_term(t.object)} ."
+def _write_lines(triples: Iterable[Triple], graph: Iri | None) -> str:
+    """Canonical lines of one graph's distinct triples, sorted by term
+    order, each ending with the graph term when there is one."""
+    end = " .\n" if graph is None else f" <{graph.value}> .\n"
+    return "".join([
+        f"{format_term(t.subject)} <{t.predicate.value}> {format_term(t.object)}{end}"
+        for t in sorted(triples, key=triple_sort_key)
+    ])
 
 
 def serialize_ntriples(g: Graph) -> str:
     """Canonical N-Triples: one line per triple, sorted by term order."""
-    return "".join(format_triple(t) + "\n" for t in g.sorted())
+    return _write_lines(g, None)
 
 
-def serialize_nquads(quads: Iterable[Quad]) -> str:
-    """Canonical N-Quads, sorted by (graph, subject, predicate, object);
-    duplicates collapse."""
-    lines = []
-    for q in sorted(set(quads), key=quad_sort_key):
-        stmt = format_triple(q.triple)
-        if q.graph is not None:
-            stmt = f"{stmt[:-2]} {format_term(q.graph)} ."
-        lines.append(stmt + "\n")
-    return "".join(lines)
+def serialize_nquads(
+    statements: Iterable[Quad] | Iterable[Triple], graph: Iri | None = None
+) -> str:
+    """Canonical N-Quads, sorted by (graph, subject, predicate, object).
+
+    With *graph*, *statements* are the triples of that one graph, with
+    no duplicates (a ``Graph`` or a set).  Without it, they are quads of
+    any graphs, and duplicates collapse; the default graph comes first,
+    then each named graph in IRI order.
+    """
+    if graph is not None:
+        return _write_lines(statements, graph)  # type: ignore[arg-type]
+    by_graph: dict[Iri | None, set[Triple]] = {}
+    for q in statements:
+        by_graph.setdefault(q.graph, set()).add(q.triple)  # type: ignore[union-attr]
+    order = sorted(by_graph, key=lambda g: (0, "") if g is None else (1, g.value))
+    return "".join(_write_lines(by_graph[g], g) for g in order)
 
 
 # ---------------------------------------------------------------------------

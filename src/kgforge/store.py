@@ -17,10 +17,15 @@ for a graph whose content changed, so replaying a batch leaves no trace.
 
 Persistence is one canonical N-Quads file per named graph under
 ``graphs/`` next to a ``manifest.json``.  Serialization is canonical, so
-identical content is byte-identical on disk.  ``persist`` rewrites only
-the graphs changed since the store was loaded from, or last persisted
-to, that directory, then the manifest, each through a temporary file
-and a rename; it writes nothing when no graph changed.
+identical content is byte-identical on disk; each file is written
+straight from its graph's triples, and the concatenation of the files in
+graph IRI order is the canonical text of the whole store.  ``persist``
+rewrites only the graphs changed since the store was loaded from, or
+last persisted to, that directory, then the manifest, each through a
+temporary file and a rename; it writes nothing when no graph changed.
+``load`` reads each distinct term of a file once, and raises
+``CorruptManifest`` for a directory that contradicts its manifest or
+holds a graph file that is not UTF-8 N-Quads.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .rdf import (
     RDF_TYPE,
     Graph,
     Iri,
+    ParseError,
     Quad,
     Subject,
     Term,
@@ -289,7 +295,7 @@ class Store:
         files = (
             (
                 graphs_dir / self._manifest[graph].filename,
-                serialize_nquads(Quad(t, graph) for t in self.triples(graph)),
+                serialize_nquads(self.triples(graph), graph),
             )
             for graph in sorted(changed, key=lambda g: g.value)
         )
@@ -301,8 +307,10 @@ class Store:
     def load(cls, directory: Path | str) -> "Store":
         """Rebuild a store from a persisted directory.
 
-        A directory without a manifest is an empty store; a manifest
-        that disagrees with the files next to it raises CorruptManifest.
+        A directory without a manifest is an empty store.  A manifest
+        that cannot be read or disagrees with the files next to it, and
+        a graph file that is not UTF-8 N-Quads, raise CorruptManifest
+        naming the file (and the line and column of a syntax error).
         """
         directory = Path(directory)
         store = cls()
@@ -312,11 +320,14 @@ class Store:
         try:
             doc = json.loads(manifest_path.read_text(encoding="utf-8"))
             graph_entries = doc["graphs"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CorruptManifest(f"unreadable manifest: {exc}") from exc
         for graph_value in sorted(graph_entries):
             entry_doc = graph_entries[graph_value]
-            graph = Iri(graph_value)
+            try:
+                graph = Iri(graph_value)
+            except ValueError as exc:
+                raise CorruptManifest(f"manifest names a graph that is {exc}") from exc
             try:
                 filename = entry_doc["file"]
                 expected_count = entry_doc["quads"]
@@ -325,10 +336,17 @@ class Store:
                 raise CorruptManifest(
                     f"manifest entry for {graph_value} is missing {exc}"
                 ) from exc
+            if not (isinstance(filename, str) and isinstance(loads, list)):
+                raise CorruptManifest(f"manifest entry for {graph_value} is malformed")
             graph_file = directory / GRAPHS_DIR / filename
             if not graph_file.exists():
                 raise CorruptManifest(f"missing graph file: {filename}")
-            quads = parse_nquads(graph_file.read_text(encoding="utf-8"))
+            try:
+                quads = parse_nquads(graph_file.read_text(encoding="utf-8"))
+            except UnicodeDecodeError as exc:
+                raise CorruptManifest(f"{filename} is not UTF-8: {exc}") from exc
+            except ParseError as exc:
+                raise CorruptManifest(f"{filename}: {exc}") from exc
             for quad in quads:
                 if quad.graph != graph:
                     raise CorruptManifest(

@@ -7,6 +7,7 @@ captured streams; ``serve`` gets a subprocess test because it blocks.
 from __future__ import annotations
 
 import json
+import shutil
 import socket
 import subprocess
 import sys
@@ -27,19 +28,25 @@ GOLDENS = Path(__file__).parent / "goldens"
 BASE = "https://kg.example.org/chemotion/"
 
 
-@pytest.fixture()
-def project(tmp_path):
-    """A working directory with a config file pointing at the fixture corpus."""
+def write_project(root: Path) -> Path:
+    """A config file in ``root`` pointing at the fixture corpus, serving
+    on a port the system picks."""
     doc = {
         "source": {"base_url": str(FIXTURES), "mode": "directory"},
         "mint": {"base": BASE},
         "store_dir": "store",
         "cache_dir": "cache",
         "staging_dir": "staging",
+        "endpoint": {"host": "127.0.0.1", "port": 0},
     }
-    config = tmp_path / "kgforge.json"
-    config.write_text(json.dumps(doc, indent=2))
-    return tmp_path
+    (root / "kgforge.json").write_text(json.dumps(doc, indent=2))
+    return root
+
+
+@pytest.fixture()
+def project(tmp_path):
+    """A working directory with a config file pointing at the fixture corpus."""
+    return write_project(tmp_path)
 
 
 def run_cli(project: Path, *argv: str) -> int:
@@ -185,6 +192,75 @@ class TestExitCodes:
 
     def test_stats_without_store_exits_2(self, project, capsys):
         assert run_cli(project, "stats") == 2
+
+
+def _append(relative: str, data: bytes):
+    def damage(project: Path) -> None:
+        with open(project / "store" / relative, "ab") as f:
+            f.write(data)
+
+    return damage
+
+
+def _miscount(project: Path) -> None:
+    path = project / "store" / "manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["graphs"][f"{BASE}graphs/2014/05"]["quads"] += 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+DAMAGE = {
+    "not-utf8": (_append("graphs/2014-05.nq", b"\xff"), "2014-05.nq is not UTF-8"),
+    "syntax": (_append("graphs/2014-05.nq", b"<a> <b> .\n"), "not an absolute IRI: 'a'"),
+    "miscount": (_miscount, "manifest says"),
+}
+
+
+@pytest.fixture(scope="module")
+def loaded_project(tmp_path_factory):
+    """A project whose fixture store is built once; tests damage copies."""
+    root = write_project(tmp_path_factory.mktemp("loaded"))
+    for command in ("harvest", "transform", "load"):
+        assert main(["-c", str(root / "kgforge.json"), command]) == 0
+    return root
+
+
+@pytest.fixture()
+def damaged(loaded_project, tmp_path, request, capsys):
+    project = tmp_path / "project"
+    shutil.copytree(loaded_project, project)
+    capsys.readouterr()
+    damage, message = DAMAGE[request.param]
+    damage(project)
+    return project, message
+
+
+class TestDamagedStore:
+    @pytest.mark.parametrize(
+        "damaged, command",
+        [("not-utf8", "stats"), ("syntax", "stats"), ("syntax", "load"), ("miscount", "stats")],
+        indirect=["damaged"],
+    )
+    def test_exits_2_with_the_file_and_no_traceback(self, damaged, command, capsys):
+        project, message = damaged
+        assert run_cli(project, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kgforge: error: corrupt store ")
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damaged", ["syntax"], indirect=True)
+    def test_serve_exits_2_at_its_first_refresh(self, damaged):
+        project, message = damaged
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgforge.cli", "-c", str(project / "kgforge.json"), "serve"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestServe:

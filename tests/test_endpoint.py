@@ -562,6 +562,24 @@ class TestHttp:
         status, _, _ = get(served, "/stats")
         assert status == 200
 
+    def test_oversized_post_413_before_the_body(self, served, capfd):
+        # Nothing follows the headers: the answer must not wait for the
+        # declared gigabyte.
+        with socket.create_connection(served.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 1000000000\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head = reply.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 413")
+        assert "Connection: close" in head.split("\r\n")
+        assert "Traceback" not in capfd.readouterr().err
+        status, _, _ = get(served, "/stats")
+        assert status == 200
+
     def test_read_only_no_update_route(self, served):
         data = urllib.parse.urlencode(
             {"query": "INSERT DATA { <a> <b> <c> }"}

@@ -8,10 +8,12 @@ which carry substance blocks).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import tempfile
+import urllib.request
 from datetime import date, datetime
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kgforge import pipeline
+from kgforge.endpoint import EndpointServer
 from kgforge.harvest import RawCache
 from kgforge.jsonld import RawRecord
 from kgforge.mint import MintConfig
@@ -425,6 +428,35 @@ class TestStages:
         assert summary["failed_stage"] == "validate"
         assert summary["stages"]["validate"]["violations"] >= 1
         assert "stats" not in summary["stages"]
+
+
+class TestByteContract:
+    """The bytes the fixture corpus produces are pinned: every staged and
+    stored graph file by its SHA-256 in ``goldens/fixture_store.sha256``
+    (``sha256sum`` format, relative to the work directory), and an export
+    is the stored file of its graph."""
+
+    def test_staged_and_stored_files_match_their_digests(self, tmp_path):
+        cfg = make_config(tmp_path)
+        stage_harvest(cfg)
+        stage_transform(cfg)
+        stage_load(cfg)
+        files = sorted([*cfg.staging_dir.glob("*.nq"), *(cfg.store_dir / "graphs").glob("*.nq")])
+        digests = "".join(
+            f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(tmp_path).as_posix()}\n"
+            for p in files
+        )
+        assert digests == (GOLDENS / "fixture_store.sha256").read_text(encoding="utf-8")
+
+        server = EndpointServer(cfg.store_dir, "127.0.0.1", 0)
+        server.refresh()
+        server.start()
+        try:
+            with urllib.request.urlopen(f"{server.url}/export/2014/05", timeout=10) as response:
+                body = response.read()
+        finally:
+            server.stop()
+        assert body == (cfg.store_dir / "graphs" / "2014-05.nq").read_bytes()
 
 
 class TestStoreLock:

@@ -25,7 +25,7 @@ from kgforge.rdf import (
 )
 
 from . import oracle
-from .strategies import graphs, quads, terms
+from .strategies import graph_iris, graphs, quads, terms
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -206,6 +206,21 @@ class TestNQuads:
         again, _ = parse_nquads(text)
         assert again.triple.subject == a.triple.subject
         assert again.triple.subject is not a.triple.subject
+
+    def test_equal_term_texts_are_one_object_per_parse(self):
+        text = (
+            '<http://a/s> <http://a/p> "x"@en <http://g/1> .\n'
+            '<http://a/t> <http://a/p> "x"@en <http://g/1> .\n'
+            "_:b <http://a/p> _:b <http://g/1> .\n"
+        )
+        a, b, c = parse_nquads(text)
+        assert a.triple.object is b.triple.object
+        assert c.triple.subject is c.triple.object
+
+    @given(graphs, graph_iris)
+    @settings(max_examples=40)
+    def test_graph_form_writes_the_quad_form(self, g, graph):
+        assert serialize_nquads(g, graph) == serialize_nquads([Quad(t, graph) for t in g])
 
     def test_literal_graph_term_rejected(self):
         with pytest.raises(ParseError):

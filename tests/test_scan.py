@@ -9,10 +9,13 @@ to how the lexer consumes IRIs and strings must leave them untouched.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgforge import rdf
 from kgforge._scan import ScanError
 from kgforge.endpoint import QueryParseError, parse_query
 from kgforge.mapping import RuleParseError, parse_rule
@@ -34,7 +37,7 @@ from kgforge.rdf import (
     serialize_nquads,
 )
 
-from .strategies import terms
+from .strategies import graph_iris, iris, subjects, terms
 
 #: Grammar -> (document with an ``{obj}`` slot on line 2, parser, error type).
 DOCUMENTS = {
@@ -291,3 +294,76 @@ def test_every_grammar_reads_a_term_back(t):
     assert triple.object == t
     assert rule.where[0].object == t
     assert query.where[0].object == t
+
+
+# ---------------------------------------------------------------------------
+# N-Quads fast path against the per-character path
+# ---------------------------------------------------------------------------
+
+# Faulty term texts, which the per-character path must read or reject
+# alone: relative IRIs, bad escapes, labels run into the final dot,
+# unterminated or doubled literals, comments.
+_MALFORMED_TEXTS = [
+    "<rel>",
+    "<http://ex.org/a b>",
+    r"<http://ex.org/\u00ZZ>",
+    r'"a\qb"',
+    r'"caf\u00e"',
+    '"abc',
+    '"a" "b"',
+    '"x"@',
+    '"x"@en-',
+    '"x"^^<int>',
+    '"x"^^xsd:int',
+    "_:b.",
+    "_:",
+    "_:b-c",
+    "#c",
+    ".",
+    "",
+    "\r",
+]
+# Most lines are laid out as the serializers write them; the rest vary
+# the spacing, the ending, or one term.
+_separators = st.sampled_from([" "] * 6 + ["", "  ", "\t", " \r "])
+_endings = st.sampled_from([" ."] * 12 + [".", " . # c", " .\r", "", " . x", " .."])
+_faults = st.one_of(
+    st.sampled_from(_MALFORMED_TEXTS),
+    st.builds(format_term, terms),
+    st.builds(format_term, graph_iris),
+)
+
+
+@st.composite
+def _statement_lines(draw) -> str:
+    texts = [
+        format_term(draw(subjects)),
+        format_term(draw(iris)),
+        format_term(draw(terms)),
+        *([format_term(draw(graph_iris))] if draw(st.booleans()) else []),
+    ]
+    if draw(st.integers(0, 2)) == 0:
+        texts[draw(st.integers(0, len(texts) - 1))] = draw(_faults)
+    if draw(st.integers(0, 4)) == 0:
+        texts.append(draw(_faults))
+    line = texts[0]
+    for text in texts[1:]:
+        line += draw(_separators) + text
+    return draw(st.sampled_from([""] * 6 + [" ", "\t"])) + line + draw(_endings)
+
+
+def _parse_outcome(text: str):
+    try:
+        return parse_nquads(text)
+    except ScanError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+@given(st.lists(st.one_of(_statement_lines(), st.sampled_from(["", "# note", "  "])), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_nquads_fast_path_agrees_with_the_per_character_path(lines):
+    # Lines are repeated so that term texts are also met in the cache.
+    text = "\n".join(lines + lines)
+    with patch.object(rdf, "_split_statement", lambda line, max_terms: None):
+        expected = _parse_outcome(text)
+    assert _parse_outcome(text) == expected

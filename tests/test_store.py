@@ -501,6 +501,44 @@ class TestPersistence:
         with pytest.raises(CorruptManifest, match="expected"):
             Store.load(tmp_path)
 
+    @pytest.mark.parametrize(
+        "graph, entry, message",
+        [
+            ("2014-05", '{"file": "2014-05.nq", "quads": 0, "loads": []}', "not an absolute IRI"),
+            (G_MAY.value, '{"file": 5, "quads": 0, "loads": []}', "malformed"),
+            (G_MAY.value, '{"file": "2014-05.nq", "quads": 0, "loads": 1}', "malformed"),
+        ],
+        ids=["graph-not-an-iri", "file-not-a-string", "loads-not-a-list"],
+    )
+    def test_malformed_manifest_entry(self, tmp_path, graph, entry, message):
+        doc = f'{{"graphs": {{"{graph}": {entry}}}}}'
+        (tmp_path / "manifest.json").write_text(doc, encoding="utf-8")
+        with pytest.raises(CorruptManifest, match=message):
+            Store.load(tmp_path)
+
+    def test_graph_file_not_utf8(self, tmp_path):
+        store_with(Q1, Q2).persist(tmp_path)
+        with open(tmp_path / "graphs" / "2014-05.nq", "ab") as f:
+            f.write(b"\xff")
+        with pytest.raises(CorruptManifest, match=r"^2014-05\.nq is not UTF-8"):
+            Store.load(tmp_path)
+
+    def test_graph_file_syntax_error_keeps_its_position(self, tmp_path):
+        store_with(Q1, Q2).persist(tmp_path)
+        path = tmp_path / "graphs" / "2014-05.nq"
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("<a> <b> .\n")
+        with pytest.raises(CorruptManifest) as info:
+            Store.load(tmp_path)
+        assert str(info.value) == "2014-05.nq: not an absolute IRI: 'a' (line 3, column 4)"
+
+    def test_manifest_count_off_by_one(self, tmp_path):
+        store_with(Q1, Q2).persist(tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_text(path.read_text(encoding="utf-8").replace('"quads": 2', '"quads": 3'))
+        with pytest.raises(CorruptManifest, match="holds 2 quads, manifest says 3"):
+            Store.load(tmp_path)
+
 
 class TestIdempotenceProperty:
     @given(_quad_sets, _quad_sets)
