@@ -149,17 +149,25 @@ def cmd_stats(config: PipelineConfig) -> int:
 
 
 def cmd_serve(config: PipelineConfig) -> int:
+    import signal
+
     # Only ``serve`` needs http.server; other commands skip its import.
     from .endpoint import EndpointServer
 
     server = EndpointServer(config.store_dir, config.host, config.port)
-    server.refresh()
-    host, port = server.address
-    logger.info("serving %s at http://%s:%d/sparql", config.store_dir, host, port)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        logger.info("shutting down")
+        server.refresh()
+        host, port = server.address
+        logger.info("serving %s at http://%s:%d/sparql", config.store_dir, host, port)
+        # SIGTERM stops the server as Ctrl-C does, so that stop() reaps
+        # the workers before the process exits.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            logger.info("shutting down")
+    finally:
+        server.stop()
     return EXIT_OK
 
 

@@ -13,6 +13,16 @@ see either the old corpus or the new one, never a mixture, and none
 waits for that set-up; requests that arrive before the first snapshot
 exists get 503.
 
+Requests run in forked worker processes, one per available CPU, each
+holding the snapshot copy-on-write, so that one CPU-bound query does not
+hold the interpreter lock of every other connection.  The parent accepts
+each connection and passes its descriptor to the worker of the current
+generation with the fewest open connections.  A ``refresh`` while
+serving forks a new generation and retires the old one, whose workers
+finish the connections they hold and exit; each connection therefore
+answers from the snapshot that was current when it was accepted.  The
+pool needs ``os.fork`` and ``socket.send_fds``, so it is POSIX-only.
+
 Routes:
 
     GET/POST /sparql          query via ?query= or a form body
@@ -22,12 +32,16 @@ Routes:
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import signal
+import socket
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterable
+from typing import NoReturn
 from urllib.parse import parse_qs, urlparse
 
 from ._scan import ScanError, Scanner
@@ -62,6 +76,12 @@ NQUADS = "application/n-quads"
 BODY_TIMEOUT_S = 30.0
 #: Bytes a POST body may declare; a larger one gets 413 without being read.
 MAX_BODY_BYTES = 1 << 20
+#: Seconds a connection may take to send a request line and its headers,
+#: including the wait for the next request on a keep-alive connection.
+HEADER_TIMEOUT_S = 30.0
+
+#: Signals that stop a server; a worker takes their default action.
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 class QueryParseError(ScanError):
@@ -339,16 +359,64 @@ class Snapshot:
     stats_body: bytes
 
 
+def _worker_count() -> int:
+    """One worker per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@dataclass(eq=False, slots=True)
+class _Worker:
+    """A worker process as the parent sees it."""
+
+    pid: int
+    #: The parent's end of the socketpair: connections go out on it and
+    #: one byte per closed connection comes back.
+    pair: socket.socket
+    #: Connections handed over and not yet reported closed.
+    open: int = 0
+
+
+class _Server(ThreadingHTTPServer):
+    """The HTTP server: in the parent it hands each connection to a
+    worker, in a worker it runs a handler thread per connection."""
+
+    endpoint: EndpointServer
+    #: In a worker, its end of the socketpair to the parent.
+    closed_report: socket.socket | None = None
+
+    def process_request(self, request, client_address) -> None:
+        if not self.endpoint._hand_off(request):
+            super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        if self.closed_report is not None:
+            try:
+                self.closed_report.send(b".")
+            except OSError:
+                pass  # retired: the parent no longer counts
+
+    def service_actions(self) -> None:
+        self.endpoint._tend()
+
+
 class EndpointServer:
     """Snapshot-serving HTTP endpoint; read-only by construction."""
 
     def __init__(self, store_dir: Path | str, host: str = "127.0.0.1", port: int = 0):
         self.store_dir = Path(store_dir)
         self.snapshot: Snapshot | None = None
-        self._swap = threading.Lock()
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._lock = threading.Lock()
+        self._httpd = _Server((host, port), _Handler)
         self._httpd.endpoint = self
         self._thread: threading.Thread | None = None
+        self._serving = False
+        #: The current generation, which new connections go to.
+        self._workers: list[_Worker] = []
+        #: Every worker not yet reaped, retired ones included.
+        self._children: list[_Worker] = []
 
     @property
     def address(self) -> tuple[str, int]:
@@ -362,41 +430,211 @@ class EndpointServer:
 
     def refresh(self) -> None:
         """Load the persisted store, build its union view and its
-        statistics, and swap it in atomically."""
+        statistics, and swap it in atomically; while serving, fork a
+        worker generation from it and retire the previous one."""
         store = Store.load(self.store_dir)
         store.triples()
         snapshot = Snapshot(store, _json_body(store.stats().to_json_dict()))
-        with self._swap:
+        with self._lock:
             self.snapshot = snapshot
+            if self._serving:
+                self._fork_generation()
 
     def start(self) -> None:
-        """Serve in a background thread (used by tests and cmd_serve)."""
+        """Serve in a background thread."""
+        self._begin()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, daemon=True
         )
         self._thread.start()
 
     def serve_forever(self) -> None:
+        self._begin()
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        """Stop serving, then terminate and reap every worker; safe
+        whether or not the server was ever started."""
+        with self._lock:
+            serving, self._serving = self._serving, False
+        if serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
+        with self._lock:
+            for worker in self._children:
+                worker.pair.close()
+                os.kill(worker.pid, signal.SIGTERM)
+            while self._children:
+                self._reap(self._children[0])
+            self._workers = []
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
 
+    # -- the worker pool ---------------------------------------------------
+    # _begin, _hand_off and _tend take ``_lock``; the other methods run
+    # under it.
+
+    def _begin(self) -> None:
+        with self._lock:
+            if self.snapshot is not None:
+                self._fork_generation()
+            # Only now: if the fork fails, stop() must not wait for a
+            # serve loop that never runs.
+            self._serving = True
+
+    def _fork_generation(self) -> None:
+        fresh = [self._spawn() for _ in range(_worker_count())]
+        retired, self._workers = self._workers, fresh
+        for worker in retired:
+            # End of file tells the worker to finish and exit, and its
+            # reports fail from now on; _tend reaps it.  A shutdown, not
+            # a close: workers of another server in this process may
+            # hold a copy of this end, which would keep it open.
+            worker.pair.shutdown(socket.SHUT_RDWR)
+
+    def _spawn(self) -> _Worker:
+        ours, theirs = socket.socketpair()
+        # Blocked until the worker is on record, so that a stop signal
+        # cannot leave it unknown to stop(); the worker unblocks them
+        # once their default action is back.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        try:
+            pid = os.fork()
+            if pid == 0:
+                self._work(theirs, ours, mask)
+            worker = _Worker(pid, ours)
+            self._children.append(worker)
+        except OSError:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        ours.setblocking(False)
+        return worker
+
+    def _work(self, pair: socket.socket, parent_end: socket.socket, mask) -> NoReturn:
+        """The worker process: serve each connection the parent passes
+        until the parent closes the pair, then finish them and exit."""
+        status = 1
+        try:
+            for signum in _STOP_SIGNALS:
+                signal.signal(signum, signal.SIG_DFL)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            httpd = self._httpd
+            httpd.socket.close()
+            parent_end.close()
+            for worker in self._children:
+                worker.pair.close()
+            # The collector never walks, so never copies, the inherited
+            # snapshot.
+            gc.freeze()
+            # Handler threads that server_close() waits for.
+            httpd.daemon_threads = False
+            httpd.closed_report = pair
+            while True:
+                message, fds, _, _ = socket.recv_fds(pair, 1, 1)
+                if not message:
+                    break
+                conn = socket.socket(fileno=fds[0])
+                try:
+                    address = conn.getpeername()
+                except OSError:  # the client has gone already
+                    httpd.shutdown_request(conn)
+                    continue
+                ThreadingHTTPServer.process_request(httpd, conn, address)
+            httpd.server_close()
+            status = 0
+        finally:
+            os._exit(status)
+
+    def _hand_off(self, request: socket.socket) -> bool:
+        """Pass an accepted connection to the current generation's least
+        loaded worker; False before the first snapshot."""
+        with self._lock:
+            if not self._workers:
+                return False
+            self._drain()
+            for _ in range(len(self._workers) + 1):
+                worker = min(self._workers, key=lambda w: w.open)
+                try:
+                    socket.send_fds(worker.pair, [b"."], [request.fileno()])
+                    break
+                except OSError:
+                    # It died since the drain; retry on its successor
+                    # or another worker.
+                    self._replace(worker)
+            else:
+                raise OSError("no worker accepted the connection")
+            worker.open += 1
+        # Close, never shut down: the worker holds the connection now.
+        request.close()
+        return True
+
+    def _drain(self) -> None:
+        """Count the connections the current workers report closed, and
+        replace a worker whose pair reads as closed."""
+        for worker in list(self._workers):
+            while True:
+                try:
+                    report = worker.pair.recv(4096)
+                except BlockingIOError:
+                    break
+                except OSError:
+                    report = b""
+                if not report:
+                    self._replace(worker)
+                    break
+                worker.open -= len(report)
+
+    def _replace(self, worker: _Worker) -> None:
+        """Reap a failed worker of the current generation and fork its
+        successor from the current snapshot."""
+        os.kill(worker.pid, signal.SIGKILL)
+        self._reap(worker)
+        self._workers[self._workers.index(worker)] = self._spawn()
+
+    def _reap(self, worker: _Worker, flags: int = 0) -> None:
+        if os.waitpid(worker.pid, flags)[0] != 0:
+            worker.pair.close()
+            self._children.remove(worker)
+
+    def _tend(self) -> None:
+        """From the serve loop: keep the counts fresh, replace failed
+        workers and reap retired ones that have exited."""
+        with self._lock:
+            self._drain()
+            for worker in [w for w in self._children if w not in self._workers]:
+                self._reap(worker, os.WNOHANG)
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # Headers and body go out in two writes; with Nagle's algorithm on,
-    # the body would wait for the client's delayed ACK of the headers.
+    # Buffered: the headers and a small body leave in one send at
+    # handle_one_request's flush, and a body larger than the buffer is
+    # written through.  Without Nagle's algorithm the last segment of
+    # such a body does not wait for the client's delayed ACK.
+    wbufsize = -1
     disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
 
     def log_message(self, *args) -> None:
         pass
+
+    def handle_one_request(self) -> None:
+        # The deadline covers the request line and headers only: a
+        # socket in timeout mode polls before every recv and send (see
+        # do_POST), and a request in flight has no reason to.
+        self.connection.settimeout(HEADER_TIMEOUT_S)
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        try:
+            return super().parse_request()
+        finally:
+            self.connection.settimeout(None)
 
     def _reply(self, status: int, content_type: str, body: bytes, *, close: bool = False) -> None:
         self.send_response(status)

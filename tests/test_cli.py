@@ -6,8 +6,11 @@ captured streams; ``serve`` gets a subprocess test because it blocks.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -264,7 +267,10 @@ class TestDamagedStore:
 
 
 class TestServe:
-    def test_serve_subprocess(self, project):
+    @staticmethod
+    def start_serving(project):
+        """``kgforge serve`` over the fixture store as a child process,
+        and its ``/stats`` document once it answers."""
         # Reserve a port, release it, and hand it to the config.
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -301,10 +307,51 @@ class TestServe:
                     time.sleep(0.05)
             else:
                 raise AssertionError(f"endpoint never came up: {last_error}")
+        except BaseException:
+            proc.kill()
+            proc.wait(timeout=10)
+            raise
+        return proc, port, doc
+
+    def test_serve_subprocess(self, project):
+        proc, _, doc = self.start_serving(project)
+        try:
             assert doc["graph_count"] == 6
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+        reason="needs /proc/<pid>/task/<tid>/children",
+    )
+    def test_sigterm_with_an_open_connection_exits_0_and_leaves_no_child(self, project):
+        proc, port, _ = self.start_serving(project)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.request("GET", "/stats")
+            assert conn.getresponse().read()
+            workers = {
+                int(pid)
+                for task in Path(f"/proc/{proc.pid}/task").iterdir()
+                for pid in (task / "children").read_text().split()
+            }
+            assert workers
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            conn.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        left = []
+        for pid in workers:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            left.append(pid)
+        assert left == []
 
 
 def test_runtime_needs_only_the_standard_library():

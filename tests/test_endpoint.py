@@ -8,9 +8,14 @@ have something to distinguish.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import os
+import signal
 import socket
+import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -342,6 +347,19 @@ def served(tmp_path_factory):
     server.stop()
 
 
+@contextlib.contextmanager
+def serving(store_dir):
+    """A server of its own, for a test that patches a module constant:
+    its workers fork after the patch and so see it."""
+    server = EndpointServer(store_dir, "127.0.0.1", 0)
+    server.refresh()
+    server.start()
+    try:
+        yield server
+    finally:
+        server.stop()
+
+
 def get(server, path, **kwargs):
     request = urllib.request.Request(server.url + path, **kwargs)
     with urllib.request.urlopen(request) as response:
@@ -547,20 +565,42 @@ class TestHttp:
         # The body promises 100 bytes and delivers 6, then the client
         # waits; the handler must answer rather than block forever.
         monkeypatch.setattr(endpoint, "BODY_TIMEOUT_S", 0.2)
-        with socket.create_connection(served.address, timeout=10) as sock:
-            sock.sendall(
-                b"POST /sparql HTTP/1.1\r\nHost: test\r\n"
-                b"Content-Length: 100\r\n\r\nquery="
-            )
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
-        head = reply.split(b"\r\n\r\n", 1)[0].decode("latin-1")
-        assert head.startswith("HTTP/1.1 408")
-        assert "Connection: close" in head.split("\r\n")
+        with serving(served.store_dir) as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(
+                    b"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: 100\r\n\r\nquery="
+                )
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            head = reply.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+            assert head.startswith("HTTP/1.1 408")
+            assert "Connection: close" in head.split("\r\n")
+            assert "Traceback" not in capfd.readouterr().err
+            status, _, _ = get(server, "/stats")
+            assert status == 200
+
+    def test_half_a_request_line_is_closed_at_the_header_deadline(self, served, monkeypatch, capfd):
+        monkeypatch.setattr(endpoint, "HEADER_TIMEOUT_S", 0.5)
+        with serving(served.store_dir) as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(b"GET /sta")
+                started = time.monotonic()
+                assert sock.recv(4096) == b""
+                assert time.monotonic() - started < 5
+            # A request in flight is not under the deadline: this one
+            # keeps its connection past it.
+            conn = http.client.HTTPConnection(*server.address, timeout=10)
+            try:
+                conn.request("GET", "/stats")
+                assert conn.getresponse().read()
+                time.sleep(0.2)
+                conn.request("GET", "/stats")
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
         assert "Traceback" not in capfd.readouterr().err
-        status, _, _ = get(served, "/stats")
-        assert status == 200
 
     def test_oversized_post_413_before_the_body(self, served, capfd):
         # Nothing follows the headers: the answer must not wait for the
@@ -590,3 +630,171 @@ class TestHttp:
             assert exc.code == 400
         else:
             raise AssertionError("update must be rejected")
+
+
+# ---------------------------------------------------------------------------
+# The worker pool
+# ---------------------------------------------------------------------------
+
+
+def child_pids() -> set[int]:
+    """This process's children, whichever of its threads forked them."""
+    pids: set[int] = set()
+    for task in Path(f"/proc/{os.getpid()}/task").iterdir():
+        with contextlib.suppress(FileNotFoundError):
+            pids.update(int(p) for p in (task / "children").read_text().split())
+    return pids
+
+
+def gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def dead(pid: int) -> bool:
+    """Exited, whether or not its parent has reaped it yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def persist_triples(store_dir: Path, objects: str) -> None:
+    """Persist ``a p o`` for each letter ``o`` of ``objects``."""
+    store = Store()
+    store.load_quads([Quad(Triple(iri("a"), iri("p"), iri(o)), G1) for o in objects])
+    store.persist(store_dir)
+
+
+def total_triples(conn: http.client.HTTPConnection) -> int:
+    conn.request("GET", "/stats")
+    response = conn.getresponse()
+    assert response.status == 200
+    return json.loads(response.read())["total_triples"]
+
+
+def bounded(call, seconds: float = 10.0) -> None:
+    """Run ``call`` in a thread and fail if it has not returned in time."""
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"{call} did not return within {seconds} s"
+
+
+needs_proc_children = pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/<pid>/task/<tid>/children",
+)
+
+
+class TestWorkerPool:
+    def test_stop_is_safe_in_every_state(self, tmp_path):
+        persist_triples(tmp_path / "store", "b")
+        never_started = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        never_started.refresh()
+        bounded(never_started.stop)
+
+        started = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        started.start()
+        started.refresh()
+        bounded(started.stop)
+
+        idle = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        idle.refresh()
+        idle.start()
+        conn = http.client.HTTPConnection(*idle.address, timeout=10)
+        try:
+            assert total_triples(conn) == 1
+            bounded(idle.stop)
+        finally:
+            conn.close()
+
+    def test_a_connection_keeps_the_snapshot_it_was_accepted_under(self, tmp_path):
+        store_dir = tmp_path / "store"
+        persist_triples(store_dir, "b")
+        server = EndpointServer(store_dir, "127.0.0.1", 0)
+        server.refresh()
+        server.start()
+        old = http.client.HTTPConnection(*server.address, timeout=10)
+        new = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            assert total_triples(old) == 1
+            persist_triples(store_dir, "bc")
+            server.refresh()
+            assert total_triples(new) == 2
+            assert total_triples(old) == 1
+            assert total_triples(new) == 2
+        finally:
+            old.close()
+            new.close()
+            server.stop()
+
+    @needs_proc_children
+    def test_stop_leaves_no_worker(self, tmp_path):
+        persist_triples(tmp_path / "store", "b")
+        server = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        server.refresh()
+        before = child_pids()
+        server.start()
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            assert total_triples(conn) == 1
+            server.refresh()  # a second generation; the first holds conn
+            workers = child_pids() - before
+            assert workers
+            bounded(server.stop)
+        finally:
+            conn.close()
+        assert [pid for pid in workers if not gone(pid)] == []
+
+    @needs_proc_children
+    def test_a_retired_generation_exits_beside_another_server(self, tmp_path):
+        # The other server's workers fork later and inherit this
+        # server's ends of its socketpairs.
+        persist_triples(tmp_path / "store", "b")
+        server = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        other = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        server.refresh()
+        other.refresh()
+        before = child_pids()
+        server.start()
+        retired = child_pids() - before
+        other.start()
+        try:
+            server.refresh()
+            deadline = time.monotonic() + 10
+            while not all(dead(pid) for pid in retired):
+                assert time.monotonic() < deadline, "the retired workers did not exit"
+                time.sleep(0.05)
+        finally:
+            other.stop()
+            server.stop()
+
+    @needs_proc_children
+    def test_a_killed_worker_is_replaced(self, tmp_path):
+        persist_triples(tmp_path / "store", "b")
+        server = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        server.refresh()
+        before = child_pids()
+        server.start()
+        try:
+            workers = child_pids() - before
+            victim = min(workers)
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not dead(victim):
+                assert time.monotonic() < deadline, "the killed worker did not exit"
+                time.sleep(0.01)
+            for _ in range(2 * len(workers) + 1):
+                status, _, body = get(server, "/stats")
+                assert status == 200
+                assert json.loads(body)["total_triples"] == 1
+            now = child_pids() - before
+            assert victim not in now
+            assert len(now) == len(workers)
+        finally:
+            server.stop()
