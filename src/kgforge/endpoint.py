@@ -11,7 +11,7 @@ loads a new snapshot from disk, indexes its union graph, computes its
 ``/stats`` document and only then swaps it in atomically, so requests
 see either the old corpus or the new one, never a mixture, and none
 waits for that set-up; requests that arrive before the first snapshot
-exists get 503.
+exists get 503 and a closed connection.
 
 Requests run in forked worker processes, one per available CPU, each
 holding the snapshot copy-on-write, so that one CPU-bound query does not
@@ -53,6 +53,7 @@ from .mapping import (
     eval_bgp,
     parse_prologue,
     parse_triples_block,
+    plan,
 )
 from .rdf import (
     XSD_STRING,
@@ -82,6 +83,9 @@ HEADER_TIMEOUT_S = 30.0
 
 #: Signals that stop a server; a worker takes their default action.
 _STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+#: Seconds between the serve loop's wakes: the longest ``stop`` waits
+#: for the loop, and how often an idle parent tends its workers.
+_POLL_S = 0.05
 
 
 class QueryParseError(ScanError):
@@ -306,11 +310,13 @@ def _solution_order(solutions, order_by: str | None):
 
     Rows sort by the ORDER BY variable first (when given), then by every
     variable in name order, comparing terms with the canonical term
-    order; without ORDER BY the second key alone applies.
+    order; without ORDER BY the second key alone applies.  Every
+    solution of a basic graph pattern binds the same variables, so the
+    name order is taken once, from the first.
     """
+    names = sorted(solutions[0]) if solutions else []
 
     def key(solution: dict):
-        names = sorted(solution)
         tail = tuple(term_sort_key(solution[name]) for name in names)
         if order_by is None:
             return tail
@@ -321,7 +327,7 @@ def _solution_order(solutions, order_by: str | None):
 
 
 def execute_select(store: Store, query: SelectQuery) -> SelectResult:
-    solutions = eval_bgp(store.triples(query.graph), query.where)
+    solutions = eval_bgp(store.triples(query.graph), plan(query.where))
     ordered = _solution_order(solutions, query.order_by)
     if query.offset:
         ordered = ordered[query.offset :]
@@ -335,7 +341,7 @@ def execute_select(store: Store, query: SelectQuery) -> SelectResult:
 
 
 def execute_ask(store: Store, query: AskQuery) -> bool:
-    return bool(eval_bgp(store.triples(query.graph), query.where))
+    return bool(eval_bgp(store.triples(query.graph), plan(query.where)))
 
 
 def execute_construct(store: Store, query: ConstructQuery) -> Graph:
@@ -387,8 +393,7 @@ class _Server(ThreadingHTTPServer):
     closed_report: socket.socket | None = None
 
     def process_request(self, request, client_address) -> None:
-        if not self.endpoint._hand_off(request):
-            super().process_request(request, client_address)
+        self.endpoint._hand_off(request)
 
     def shutdown_request(self, request) -> None:
         super().shutdown_request(request)
@@ -444,13 +449,13 @@ class EndpointServer:
         """Serve in a background thread."""
         self._begin()
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+            target=self._httpd.serve_forever, args=(_POLL_S,), daemon=True
         )
         self._thread.start()
 
     def serve_forever(self) -> None:
         self._begin()
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(_POLL_S)
 
     def stop(self) -> None:
         """Stop serving, then terminate and reap every worker; safe
@@ -476,9 +481,10 @@ class EndpointServer:
     # under it.
 
     def _begin(self) -> None:
+        """Fork the first generation, from the snapshot or, before there
+        is one, to answer 503; the parent never runs a handler."""
         with self._lock:
-            if self.snapshot is not None:
-                self._fork_generation()
+            self._fork_generation()
             # Only now: if the fork fails, stop() must not wait for a
             # serve loop that never runs.
             self._serving = True
@@ -549,12 +555,10 @@ class EndpointServer:
         finally:
             os._exit(status)
 
-    def _hand_off(self, request: socket.socket) -> bool:
+    def _hand_off(self, request: socket.socket) -> None:
         """Pass an accepted connection to the current generation's least
-        loaded worker; False before the first snapshot."""
+        loaded worker."""
         with self._lock:
-            if not self._workers:
-                return False
             self._drain()
             for _ in range(len(self._workers) + 1):
                 worker = min(self._workers, key=lambda w: w.open)
@@ -570,7 +574,6 @@ class EndpointServer:
             worker.open += 1
         # Close, never shut down: the worker holds the connection now.
         request.close()
-        return True
 
     def _drain(self) -> None:
         """Count the connections the current workers report closed, and
@@ -669,7 +672,8 @@ class _Handler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         snapshot = self.server.endpoint.snapshot
         if snapshot is None:
-            self._error(503, "snapshot not ready; try again shortly")
+            # Close: this worker never gets a snapshot, its successors do.
+            self._error(503, "snapshot not ready; try again shortly", close=True)
             return
         if parsed.path == "/sparql":
             params = parse_qs(parsed.query)
@@ -689,7 +693,8 @@ class _Handler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         snapshot = self.server.endpoint.snapshot
         if snapshot is None:
-            self._error(503, "snapshot not ready; try again shortly")
+            # Close: this worker never gets a snapshot, its successors do.
+            self._error(503, "snapshot not ready; try again shortly", close=True)
             return
         if parsed.path != "/sparql":
             self._error(404, f"unknown path: {parsed.path}")

@@ -9,14 +9,15 @@ parse time by name rather than silently ignored.
 Evaluation follows SPARQL semantics where they are observable: BIND
 errors leave the variable unbound instead of failing the solution, and
 template triples that end up with an unbound variable or an ill-typed
-position are skipped.  The join order heuristic (most-bound pattern
-first, bindings propagated left to right) only affects speed, never the
-solution set.
+position are skipped.  A basic graph pattern is planned once (most-bound
+pattern first, bindings propagated left to right; a rule plans when it is
+built) and joined by one loop per graph; the order only affects speed,
+never the solution set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from typing import Iterable, Iterator, Mapping
@@ -129,8 +130,11 @@ class MappingRule:
     template: tuple[TriplePattern, ...]
     where: tuple[TriplePattern, ...]
     binds: tuple[BindClause, ...]
+    #: The WHERE pattern's join order, computed once here.
+    plan: tuple[Step, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", plan(self.where))
         where_vars = set()
         for p in self.where:
             where_vars |= p.variables()
@@ -361,74 +365,64 @@ UNBOUND = object()
 BindingSet = Mapping[str, Term]
 
 
-def eval_bgp(graph: Graph, patterns: Iterable[TriplePattern]) -> list[dict[str, Term]]:
-    """All solutions of the basic graph pattern over *graph*.
+#: One step of a plan: the pattern's three terms with ``None`` for each
+#: variable, then ``(position, name)`` for each variable.
+Step = tuple[tuple[Term | None, Term | None, Term | None], tuple[tuple[int, str], ...]]
 
-    Natural-join semantics: the empty pattern list has exactly one empty
-    solution.  The result is duplicate-free.
+
+def plan(patterns: Iterable[TriplePattern]) -> tuple[Step, ...]:
+    """The join order of a basic graph pattern, as ``eval_bgp`` runs it.
+
+    The most-bound pattern goes first, counting the variables that the
+    patterns before it bind; ties go to the pattern that occurs first.
+    """
+    remaining = list(patterns)
+    steps: list[Step] = []
+    bound: set[str] = set()
+    while remaining:
+        def boundness(p: TriplePattern) -> int:
+            return sum(1 for t in p.terms() if not isinstance(t, Variable) or t.name in bound)
+
+        best = max(remaining, key=boundness)
+        remaining.remove(best)
+        bound |= best.variables()
+        terms = best.terms()
+        constants = tuple(None if isinstance(t, Variable) else t for t in terms)
+        slots = tuple((i, t.name) for i, t in enumerate(terms) if isinstance(t, Variable))
+        steps.append((constants, slots))
+    return tuple(steps)
+
+
+def eval_bgp(graph: Graph, plan: Iterable[Step]) -> list[dict[str, Term]]:
+    """All solutions over *graph* of the basic graph pattern *plan*.
+
+    Natural-join semantics: the empty pattern has exactly one empty
+    solution.  The result is duplicate-free with no dedupe: each solution
+    extends a distinct solution by a distinct matching triple.
     """
     solutions: list[dict[str, Term]] = [{}]
-    for pattern in _plan(list(patterns)):
+    for constants, slots in plan:
         next_solutions: list[dict[str, Term]] = []
         for binding in solutions:
-            s = _resolve(pattern.subject, binding)
-            p = _resolve(pattern.predicate, binding)
-            o = _resolve(pattern.object, binding)
-            for triple in graph.match(
-                s if not isinstance(s, Variable) else None,
-                p if not isinstance(p, Variable) else None,
-                o if not isinstance(o, Variable) else None,
-            ):
-                extended = _unify(pattern, triple, binding)
-                if extended is not None:
+            key = list(constants)
+            for position, name in slots:
+                value = binding.get(name)
+                if value is not None:
+                    key[position] = value
+            # match checks every position bound in the key; setdefault
+            # checks a variable repeated within the pattern.
+            for triple in graph.match(*key):
+                values = (triple.subject, triple.predicate, triple.object)
+                extended = dict(binding)
+                for position, name in slots:
+                    if extended.setdefault(name, values[position]) != values[position]:
+                        break
+                else:
                     next_solutions.append(extended)
         solutions = next_solutions
         if not solutions:
             return []
-    unique = {frozenset(sol.items()): sol for sol in solutions}
-    return list(unique.values())
-
-
-def _plan(patterns: list[TriplePattern]) -> list[TriplePattern]:
-    """Order patterns most-bound-first, counting propagated bindings."""
-    remaining = list(patterns)
-    ordered: list[TriplePattern] = []
-    bound_vars: set[str] = set()
-    while remaining:
-        def boundness(p: TriplePattern) -> int:
-            return sum(
-                1
-                for t in p.terms()
-                if not isinstance(t, Variable) or t.name in bound_vars
-            )
-
-        best = max(remaining, key=boundness)
-        remaining.remove(best)
-        ordered.append(best)
-        bound_vars |= best.variables()
-    return ordered
-
-
-def _resolve(term: PatternTerm, binding: BindingSet) -> PatternTerm:
-    if isinstance(term, Variable):
-        return binding.get(term.name, term)
-    return term
-
-
-def _unify(
-    pattern: TriplePattern, triple: Triple, binding: BindingSet
-) -> dict[str, Term] | None:
-    extended = dict(binding)
-    for pattern_term, value in zip(pattern.terms(), (triple.subject, triple.predicate, triple.object)):
-        if isinstance(pattern_term, Variable):
-            seen = extended.get(pattern_term.name)
-            if seen is None:
-                extended[pattern_term.name] = value
-            elif seen != value:
-                return None
-        elif pattern_term != value:
-            return None
-    return extended
+    return solutions
 
 
 def eval_expression(e: Expression, binding: BindingSet):
@@ -471,14 +465,13 @@ def eval_expression(e: Expression, binding: BindingSet):
 def apply_rule(graph: Graph, rule: MappingRule) -> Graph:
     """Instantiate the rule's template over every WHERE solution."""
     out: set[Triple] = set()
-    for solution in eval_bgp(graph, rule.where):
-        extended = dict(solution)
+    for solution in eval_bgp(graph, rule.plan):
         for bind in rule.binds:
-            value = eval_expression(bind.expression, extended)
+            value = eval_expression(bind.expression, solution)
             if value is not UNBOUND:
-                extended[bind.variable] = value
+                solution[bind.variable] = value
         for pattern in rule.template:
-            triple = _instantiate(pattern, extended)
+            triple = _instantiate(pattern, solution)
             if triple is not None:
                 out.add(triple)
     return Graph(out)

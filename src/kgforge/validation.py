@@ -22,7 +22,7 @@ from functools import cache
 from importlib import resources
 from typing import Iterable, Iterator
 
-from .mapping import TriplePattern, Variable, eval_bgp
+from .mapping import TriplePattern, Variable, eval_bgp, plan
 from .rdf import (
     RDF_TYPE,
     BlankNode,
@@ -200,9 +200,9 @@ def validate_patterns(graph: Graph, rules: Iterable[PatternRule]) -> ValidationR
         # variables is exactly an antecedent solution with a witness.
         witnessed = {
             frozenset((k, v) for k, v in sol.items() if k in antecedent_vars)
-            for sol in eval_bgp(graph, rule.antecedent + rule.consequent)
+            for sol in eval_bgp(graph, plan(rule.antecedent + rule.consequent))
         }
-        for solution in eval_bgp(graph, rule.antecedent):
+        for solution in eval_bgp(graph, plan(rule.antecedent)):
             if frozenset(solution.items()) not in witnessed:
                 findings.append(
                     Finding(rule.name, solution[rule.focus], rule.message, rule.severity)

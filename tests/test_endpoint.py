@@ -35,7 +35,7 @@ from kgforge.endpoint import (
     execute_select,
     parse_query,
 )
-from kgforge.mapping import TriplePattern, Variable, eval_bgp
+from kgforge.mapping import TriplePattern, Variable, eval_bgp, plan
 from kgforge.rdf import (
     BlankNode,
     Graph,
@@ -255,7 +255,7 @@ class TestExecuteSelect:
             TriplePattern(Variable("o"), iri("name"), Variable("n")),
         )
         expected = {
-            frozenset(sol.items()) for sol in eval_bgp(store.triples(), patterns)
+            frozenset(sol.items()) for sol in eval_bgp(store.triples(), plan(patterns))
         }
         result = execute_select(
             store,
@@ -712,6 +712,43 @@ class TestWorkerPool:
             bounded(idle.stop)
         finally:
             conn.close()
+
+    def test_stop_returns_promptly(self, tmp_path):
+        persist_triples(tmp_path / "store", "b")
+        server = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        server.refresh()
+        server.start()
+        try:
+            assert get(server, "/stats")[0] == 200
+            started = time.monotonic()
+            bounded(server.stop)
+            assert time.monotonic() - started < 0.25
+        finally:
+            server.stop()
+
+    def test_503_closes_the_connection_and_a_refresh_serves(self, tmp_path):
+        persist_triples(tmp_path / "store", "b")
+        server = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=10) as raw:
+                raw.sendall(b"GET /stats HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                reply = b""
+                # A worker without a snapshot closes the connection
+                # after its answer; a kept-alive one would time out.
+                while chunk := raw.recv(4096):
+                    reply += chunk
+            head = reply.split(b"\r\n\r\n")[0].split(b"\r\n")
+            assert head[0].startswith(b"HTTP/1.1 503 ")
+            assert b"Connection: close" in head
+            server.refresh()
+            conn = http.client.HTTPConnection(*server.address, timeout=10)
+            try:
+                assert total_triples(conn) == 1
+            finally:
+                conn.close()
+        finally:
+            server.stop()
 
     def test_a_connection_keeps_the_snapshot_it_was_accepted_under(self, tmp_path):
         store_dir = tmp_path / "store"

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kgforge import pipeline
+from kgforge import mapping, pipeline
 from kgforge.endpoint import EndpointServer
 from kgforge.harvest import RawCache
 from kgforge.jsonld import RawRecord
@@ -265,6 +265,20 @@ class TestStages:
         stats = stage_stats(cfg)
         assert stats.total_triples == transform.quads
         assert stats.graph_count == 6
+
+    def test_transform_plans_each_rule_once(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path)
+        stage_harvest(cfg)
+        planned = []
+        original = mapping.plan
+
+        def counting(patterns):
+            planned.append(patterns)
+            return original(patterns)
+
+        monkeypatch.setattr(mapping, "plan", counting)
+        assert stage_transform(cfg).records == 50
+        assert len(planned) == 4
 
     def test_staging_layout(self, tmp_path):
         cfg = make_config(tmp_path)
