@@ -33,6 +33,7 @@ Routes:
 from __future__ import annotations
 
 import gc
+import heapq
 import json
 import os
 import signal
@@ -40,6 +41,7 @@ import socket
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from operator import itemgetter
 from pathlib import Path
 from typing import NoReturn
 from urllib.parse import parse_qs, urlparse
@@ -305,34 +307,45 @@ def _term_json(term: Term) -> dict:
     return doc
 
 
-def _solution_order(solutions, order_by: str | None):
-    """Canonical, deterministic row order.
+def _solution_order(solutions, order_by: str | None, count: int | None):
+    """The first *count* rows in canonical order, or every row when
+    *count* is None.
 
-    Rows sort by the ORDER BY variable first (when given), then by every
+    Rows sort by the ORDER BY variable first, then by every other
     variable in name order, comparing terms with the canonical term
-    order; without ORDER BY the second key alone applies.  Every
-    solution of a basic graph pattern binds the same variables, so the
-    name order is taken once, from the first.
+    order.  Every solution of a basic graph pattern binds the same
+    variables, so the names are taken once, from the first; an ORDER BY
+    variable that the pattern does not bind is unbound in every row and
+    orders nothing.  With a *count*, a top-k keeps only those rows:
+    ``heapq.nsmallest`` equals ``sorted(...)[:count]``, ties included.
     """
-    names = sorted(solutions[0]) if solutions else []
+    if len(solutions) < 2:
+        return solutions[:count]
+    names = sorted(solutions[0])
+    if order_by in names:
+        names.remove(order_by)
+        names.insert(0, order_by)
+    if len(names) == 1:
+        (name,) = names
 
-    def key(solution: dict):
-        tail = tuple(term_sort_key(solution[name]) for name in names)
-        if order_by is None:
-            return tail
-        head = solution.get(order_by)
-        return ((0, term_sort_key(head)) if head is not None else (1,),) + tail
+        def key(solution: dict):
+            return term_sort_key(solution[name])
 
-    return sorted(solutions, key=key)
+    else:
+        values = itemgetter(*names)
+
+        def key(solution: dict):
+            return tuple(map(term_sort_key, values(solution)))
+
+    if count is None:
+        return sorted(solutions, key=key)
+    return heapq.nsmallest(count, solutions, key=key)
 
 
 def execute_select(store: Store, query: SelectQuery) -> SelectResult:
     solutions = eval_bgp(store.triples(query.graph), plan(query.where))
-    ordered = _solution_order(solutions, query.order_by)
-    if query.offset:
-        ordered = ordered[query.offset :]
-    if query.limit is not None:
-        ordered = ordered[: query.limit]
+    count = None if query.limit is None else query.offset + query.limit
+    ordered = _solution_order(solutions, query.order_by, count)[query.offset :]
     rows = tuple(
         {name: sol[name] for name in query.variables if name in sol}
         for sol in ordered
@@ -635,6 +648,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def parse_request(self) -> bool:
         try:
+            requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            if len(requestline.split()) == 2:
+                # The base class would take a request line without a
+                # version as HTTP/0.9 and answer with no status line.
+                self.command, self.requestline = None, requestline
+                self.request_version = self.protocol_version
+                self.close_connection = True
+                self._error(400, "request line needs an HTTP version", close=True)
+                return False
             return super().parse_request()
         finally:
             self.connection.settimeout(None)

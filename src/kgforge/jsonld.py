@@ -229,9 +229,11 @@ def _convert_node(
     types = node.get("@type", [])
     if isinstance(types, str):
         types = [types]
+    elif not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+        # A number, null, boolean or object would otherwise raise
+        # TypeError, or an object be read as its keys.
+        raise JsonLdError("@type must be a string or a list of strings")
     for t in types:
-        if not isinstance(t, str):
-            raise JsonLdError("@type values must be strings")
         out.add(Triple(subject, Iri(RDF_TYPE), ctx.expand_term(t)))
 
     for key, value in node.items():

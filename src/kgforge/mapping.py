@@ -12,7 +12,11 @@ template triples that end up with an unbound variable or an ill-typed
 position are skipped.  A basic graph pattern is planned once (most-bound
 pattern first, bindings propagated left to right; a rule plans when it is
 built) and joined by one loop per graph; the order only affects speed,
-never the solution set.
+never the solution set.  Every solution at a step binds the same
+variables, so the plan also tells each step which of its variables are
+joined (already bound: they go into the lookup key), which are new (stored
+without a check) and which repeat within the pattern (the only equality
+the join compares itself).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from ._scan import ScanError, Scanner
@@ -365,9 +370,28 @@ UNBOUND = object()
 BindingSet = Mapping[str, Term]
 
 
-#: One step of a plan: the pattern's three terms with ``None`` for each
-#: variable, then ``(position, name)`` for each variable.
-Step = tuple[tuple[Term | None, Term | None, Term | None], tuple[tuple[int, str], ...]]
+#: One step of a plan: ``(constants, joined, new, repeats)``, where
+#: ``constants`` holds the pattern's three terms with ``None`` for each
+#: variable.  Every solution reaching a step binds the same variables, so
+#: the plan sorts each variable occurrence of the pattern into one of
+#: three roles:
+#:
+#: - ``joined``: ``(position, name)`` of each variable an earlier step
+#:   binds; its value fills the match key, so ``match`` checks it;
+#: - ``new``: ``(position, name)`` of each variable first bound here, at
+#:   its first occurrence; the matched triple's term is stored unchecked;
+#: - ``repeats``: ``(position, name)`` of a later occurrence of a new
+#:   variable (``?x p ?x``); the only equality the join itself checks.
+Slot = tuple[int, str]
+Step = tuple[
+    tuple[Term | None, Term | None, Term | None],
+    tuple[Slot, ...],
+    tuple[Slot, ...],
+    tuple[Slot, ...],
+]
+
+#: The term of a triple at each position.
+_FIELDS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
 
 
 def plan(patterns: Iterable[TriplePattern]) -> tuple[Step, ...]:
@@ -376,20 +400,44 @@ def plan(patterns: Iterable[TriplePattern]) -> tuple[Step, ...]:
     The most-bound pattern goes first, counting the variables that the
     patterns before it bind; ties go to the pattern that occurs first.
     """
+    return plan_from((), patterns)
+
+
+def plan_from(bound: Iterable[str], patterns: Iterable[TriplePattern]) -> tuple[Step, ...]:
+    """The plan of *patterns* for solutions that already bind *bound*:
+    those variables are joined from the first step on (see ``extend``)."""
     remaining = list(patterns)
     steps: list[Step] = []
-    bound: set[str] = set()
+    bound = set(bound)
     while remaining:
         def boundness(p: TriplePattern) -> int:
             return sum(1 for t in p.terms() if not isinstance(t, Variable) or t.name in bound)
 
         best = max(remaining, key=boundness)
         remaining.remove(best)
-        bound |= best.variables()
         terms = best.terms()
+        joined: list[Slot] = []
+        new: dict[str, int] = {}
+        repeats: list[Slot] = []
+        for position, t in enumerate(terms):
+            if not isinstance(t, Variable):
+                continue
+            if t.name in bound:
+                joined.append((position, t.name))
+            elif t.name in new:
+                repeats.append((position, t.name))
+            else:
+                new[t.name] = position
+        bound.update(new)
         constants = tuple(None if isinstance(t, Variable) else t for t in terms)
-        slots = tuple((i, t.name) for i, t in enumerate(terms) if isinstance(t, Variable))
-        steps.append((constants, slots))
+        steps.append(
+            (
+                constants,
+                tuple(joined),
+                tuple((position, name) for name, position in new.items()),
+                tuple(repeats),
+            )
+        )
     return tuple(steps)
 
 
@@ -400,22 +448,34 @@ def eval_bgp(graph: Graph, plan: Iterable[Step]) -> list[dict[str, Term]]:
     solution.  The result is duplicate-free with no dedupe: each solution
     extends a distinct solution by a distinct matching triple.
     """
-    solutions: list[dict[str, Term]] = [{}]
-    for constants, slots in plan:
+    return extend(graph, plan, [{}])
+
+
+def extend(
+    graph: Graph, plan: Iterable[Step], solutions: list[dict[str, Term]]
+) -> list[dict[str, Term]]:
+    """Every extension of each of *solutions* by the steps of *plan*;
+    each solution binds the variables the plan was made for (the
+    *bound* of ``plan_from``).
+
+    The steps' slot roles divide the work: joined values go into the
+    match key, new values are stored, and only repeats are compared.
+    """
+    for constants, joined, new, repeats in plan:
         next_solutions: list[dict[str, Term]] = []
         for binding in solutions:
-            key = list(constants)
-            for position, name in slots:
-                value = binding.get(name)
-                if value is not None:
-                    key[position] = value
-            # match checks every position bound in the key; setdefault
-            # checks a variable repeated within the pattern.
+            if joined:
+                key = list(constants)
+                for position, name in joined:
+                    key[position] = binding[name]
+            else:
+                key = constants
             for triple in graph.match(*key):
-                values = (triple.subject, triple.predicate, triple.object)
-                extended = dict(binding)
-                for position, name in slots:
-                    if extended.setdefault(name, values[position]) != values[position]:
+                extended = binding.copy()
+                for position, name in new:
+                    extended[name] = _FIELDS[position](triple)
+                for position, name in repeats:
+                    if _FIELDS[position](triple) != extended[name]:
                         break
                 else:
                     next_solutions.append(extended)

@@ -241,21 +241,36 @@ class Graph:
         """Triples matching the given positions; ``None`` is a wildcard.
 
         A bound position narrows the candidates to its map entry, the
-        shortest one when several are bound; the final position check
-        applies to every candidate, so the choice of map can change
-        only the speed, never the result.
+        shortest one when several are bound (the first on a tie).  Every
+        triple in an entry holds the entry's term, so only the other
+        bound positions are checked, and with none the entry itself is
+        the answer; the choice of map can change only the speed, never
+        the result.
         """
-        bound = [
-            (position, term)
-            for position, term in enumerate((subject, predicate, obj))
-            if term is not None
-        ]
-        if not bound:
-            return iter(self)
-        maps = self._index()
-        candidates = min(
-            (maps[position].get(term, ()) for position, term in bound), key=len
-        )
+        if subject is None and predicate is None and obj is None:
+            return iter(self._triples)
+        by_s, by_p, by_o = self._index()
+        if subject is not None:
+            candidates = by_s.get(subject, ())
+            chosen = 0
+        else:
+            candidates = None
+        if predicate is not None:
+            entry = by_p.get(predicate, ())
+            if candidates is None or len(entry) < len(candidates):
+                candidates, chosen = entry, 1
+        if obj is not None:
+            entry = by_o.get(obj, ())
+            if candidates is None or len(entry) < len(candidates):
+                candidates, chosen = entry, 2
+        if chosen == 0:
+            subject = None
+        elif chosen == 1:
+            predicate = None
+        else:
+            obj = None
+        if subject is None and predicate is None and obj is None:
+            return iter(candidates)
         return (
             t
             for t in candidates

@@ -22,7 +22,7 @@ from functools import cache
 from importlib import resources
 from typing import Iterable, Iterator
 
-from .mapping import TriplePattern, Variable, eval_bgp, plan
+from .mapping import TriplePattern, Variable, eval_bgp, extend, plan, plan_from
 from .rdf import (
     RDF_TYPE,
     BlankNode,
@@ -196,14 +196,11 @@ def validate_patterns(graph: Graph, rules: Iterable[PatternRule]) -> ValidationR
         antecedent_vars = set()
         for p in rule.antecedent:
             antecedent_vars |= p.variables()
-        # A solution of antecedent+consequent restricted to the antecedent
-        # variables is exactly an antecedent solution with a witness.
-        witnessed = {
-            frozenset((k, v) for k, v in sol.items() if k in antecedent_vars)
-            for sol in eval_bgp(graph, plan(rule.antecedent + rule.consequent))
-        }
+        # Each antecedent solution is extended by the consequent alone:
+        # a solution with no extension has no witness.
+        witness = plan_from(antecedent_vars, rule.consequent)
         for solution in eval_bgp(graph, plan(rule.antecedent)):
-            if frozenset(solution.items()) not in witnessed:
+            if not extend(graph, witness, [solution]):
                 findings.append(
                     Finding(rule.name, solution[rule.focus], rule.message, rule.severity)
                 )

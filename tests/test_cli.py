@@ -112,6 +112,24 @@ class TestStageCommands:
             "substance.rq\t260",
         ]
 
+    def test_transform_skips_a_record_whose_type_is_a_number(self, project, capsys, caplog):
+        source = project / "records"
+        source.mkdir()
+        for path in sorted(FIXTURES.glob("*.json")):
+            (source / path.name).write_bytes(path.read_bytes())
+        bad = json.loads((FIXTURES / "rec_00.json").read_text())
+        bad["id"] = "10.14272/BADTYPE/Raman"
+        bad["metadata"]["@type"] = 0
+        (source / "bad_type.json").write_text(json.dumps(bad))
+        doc = json.loads((project / "kgforge.json").read_text())
+        doc["source"]["base_url"] = str(source)
+        (project / "kgforge.json").write_text(json.dumps(doc))
+        assert run_cli(project, "harvest") == 0
+        with caplog.at_level("INFO"):
+            assert run_cli(project, "transform") == 0
+        assert "(1 skipped)" in caplog.text
+        assert "BADTYPE" in caplog.text
+
     def test_load_prints_inserted(self, project, capsys):
         run_cli(project, "harvest")
         run_cli(project, "transform")

@@ -22,6 +22,7 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from kgforge import endpoint
 from kgforge.endpoint import (
@@ -46,9 +47,12 @@ from kgforge.rdf import (
     lang_literal,
     parse_nquads,
     parse_ntriples,
+    term_sort_key,
     triple_sort_key,
 )
 from kgforge.store import Store
+
+from . import oracle
 
 EX = "http://example.org/"
 XSD_INT = Iri("http://www.w3.org/2001/XMLSchema#integer")
@@ -290,6 +294,80 @@ class TestExecuteSelect:
             store, parse_query(f"SELECT ?s WHERE {{ ?s <{EX}knows> <{EX}a> }}")
         ).to_json_dict()["results"]["bindings"][0]["s"]
         assert bnode == {"type": "bnode", "value": "x"}
+
+
+def documented_order(solutions, order_by):
+    """*solutions* sorted as the README documents SELECT's order: the
+    ORDER BY variable first when the pattern binds it, then every other
+    variable in name order, terms in the canonical term order."""
+
+    def key(solution):
+        names = sorted(solution)
+        if order_by in solution:
+            names = [order_by] + [name for name in names if name != order_by]
+        return [term_sort_key(solution[name]) for name in names]
+
+    return sorted(solutions, key=key)
+
+
+#: (ORDER BY, LIMIT, OFFSET) per case.  "last" stands for the pattern's
+#: last variable in name order, so that ORDER BY changes the order.
+ORDER_CASES = {
+    "no-order-by": (None, 4, 1),
+    "order-by-bound": ("last", 4, 1),
+    "order-by-unbound": ("zz", 4, 1),
+    "limit-0": ("last", 0, 2),
+    "limit-past-the-solutions": ("last", 1_000, 1),
+    "offset-without-limit": ("last", None, 3),
+}
+
+
+class TestSelectOrderAgainstOracle:
+    @pytest.mark.parametrize(
+        "order_by, limit, offset", list(ORDER_CASES.values()), ids=list(ORDER_CASES)
+    )
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+    def test_rows_are_the_sorted_bruteforce_slice(self, order_by, limit, offset, rng):
+        graph = oracle.random_graph(rng, 40)
+        bgp = oracle.random_bgp(rng, 3)
+        assume(oracle.product_cost(graph, bgp) <= 20_000)
+        names = sorted(set().union(*(p.variables() for p in bgp)))
+        if order_by == "last":
+            assume(len(names) >= 2)
+            order_by = names[-1]
+        store = Store()
+        store.load_quads([Quad(t, G1) for t in graph])
+        query = SelectQuery(
+            variables=tuple(names),
+            where=tuple(bgp),
+            order_by=order_by,
+            limit=limit,
+            offset=offset,
+        )
+        solutions = [dict(s) for s in oracle.eval_bgp_bruteforce(graph, bgp)]
+        end = None if limit is None else offset + limit
+        expected = documented_order(solutions, order_by)[offset:end]
+        assert list(execute_select(store, query).rows) == expected
+
+    def test_ties_on_the_order_by_variable_fall_to_the_other_variables(self):
+        store = Store()
+        store.load_quads(
+            [
+                Quad(Triple(iri(s), iri("knows"), iri(o)), G1)
+                for s, o in [("a", "d"), ("b", "a"), ("a", "b"), ("a", "c")]
+            ]
+        )
+        result = execute_select(
+            store,
+            parse_query(
+                f"SELECT ?s ?o WHERE {{ ?s <{EX}knows> ?o }} ORDER BY ?s LIMIT 2 OFFSET 1"
+            ),
+        )
+        assert [(row["s"], row["o"]) for row in result.rows] == [
+            (iri("a"), iri("c")),
+            (iri("a"), iri("d")),
+        ]
 
 
 class TestExecuteAskConstruct:
@@ -615,6 +693,22 @@ class TestHttp:
                 reply += chunk
         head = reply.split(b"\r\n\r\n", 1)[0].decode("latin-1")
         assert head.startswith("HTTP/1.1 413")
+        assert "Connection: close" in head.split("\r\n")
+        assert "Traceback" not in capfd.readouterr().err
+        status, _, _ = get(served, "/stats")
+        assert status == 200
+
+    @pytest.mark.parametrize(
+        "line", [b"GET /stats\r\n", b" /sparql HTTP/1.1\r\n"], ids=["no-version", "no-method"]
+    )
+    def test_request_line_of_two_words_gets_a_400_status_line(self, served, line, capfd):
+        with socket.create_connection(served.address, timeout=10) as sock:
+            sock.sendall(line)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head = reply.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 400")
         assert "Connection: close" in head.split("\r\n")
         assert "Traceback" not in capfd.readouterr().err
         status, _, _ = get(served, "/stats")

@@ -28,9 +28,11 @@ from kgforge.mapping import (
     apply_rule,
     eval_bgp,
     eval_expression,
+    extend,
     load_rule_pack,
     parse_rule,
     plan,
+    plan_from,
 )
 from kgforge.rdf import (
     RDF_TYPE,
@@ -389,6 +391,60 @@ class TestEvalBgp:
         shuffled = list(patterns)
         rng.shuffle(shuffled)
         assert solution_set(graph, patterns) == solution_set(graph, shuffled)
+
+
+class TestPlanRoles:
+    """Each step's ``(constants, joined, new, repeats)``."""
+
+    def test_repeated_variable_is_new_then_a_repeat(self):
+        (step,) = plan([TriplePattern(Variable("x"), ex("p"), Variable("x"))])
+        assert step == ((None, ex("p"), None), (), ((0, "x"),), ((2, "x"),))
+
+    def test_one_variable_across_three_patterns_is_joined_after_the_first(self):
+        steps = plan(
+            [
+                TriplePattern(Variable("x"), ex("p"), ex("a")),
+                TriplePattern(Variable("x"), ex("q"), Variable("y")),
+                TriplePattern(ex("b"), ex("r"), Variable("x")),
+            ]
+        )
+        # Most-bound first: the first and third patterns have two
+        # constants each, and the tie goes to the first of them.
+        assert steps == (
+            ((None, ex("p"), ex("a")), (), ((0, "x"),), ()),
+            ((ex("b"), ex("r"), None), ((2, "x"),), (), ()),
+            ((None, ex("q"), None), ((0, "x"),), ((2, "y"),), ()),
+        )
+
+    def test_all_constant_pattern_has_no_slots(self):
+        (step,) = plan([TriplePattern(ex("s"), ex("p"), ex("o"))])
+        assert step == ((ex("s"), ex("p"), ex("o")), (), (), ())
+
+    def test_a_repeat_of_a_joined_variable_is_joined_twice(self):
+        steps = plan(
+            [
+                TriplePattern(Variable("x"), ex("p"), ex("a")),
+                TriplePattern(Variable("x"), ex("q"), Variable("x")),
+            ]
+        )
+        assert steps[1] == ((None, ex("q"), None), ((0, "x"), (2, "x")), (), ())
+
+    def test_plan_from_joins_the_given_variables_from_the_first_step(self):
+        g = Graph(
+            [
+                Triple(ex("a"), ex("p"), ex("b")),
+                Triple(ex("a"), ex("p"), ex("c")),
+                Triple(ex("d"), ex("p"), ex("e")),
+            ]
+        )
+        steps = plan_from({"x"}, [TriplePattern(Variable("x"), ex("p"), Variable("y"))])
+        assert steps == (((None, ex("p"), None), ((0, "x"),), ((2, "y"),), ()),)
+        extensions = extend(g, steps, [{"x": ex("a")}])
+        assert sorted(extensions, key=lambda sol: sol["y"].value) == [
+            {"x": ex("a"), "y": ex("b")},
+            {"x": ex("a"), "y": ex("c")},
+        ]
+        assert extend(g, steps, [{"x": ex("zzz")}]) == []
 
 
 class TestEvalExpression:

@@ -233,6 +233,24 @@ class TestTransformRecord:
             transform_record(record, self.mint(), ())
 
 
+    @pytest.mark.parametrize(
+        "bad_type", [0, None, True, 1.5, {"Dataset": "x"}], ids=repr
+    )
+    def test_type_that_is_not_strings_is_a_skip_error(self, bad_type):
+        from kgforge.jsonld import JsonLdError
+        from kgforge.mapping import load_rule_pack
+
+        record = self.record(0)
+        record = RawRecord(
+            source_id=record.source_id,
+            submission_date=record.submission_date,
+            payload={**record.payload, "@type": bad_type},
+            fetched_at=record.fetched_at,
+        )
+        with pytest.raises(JsonLdError, match="@type"):
+            transform_record(record, self.mint(), load_rule_pack())
+
+
 class TestStages:
     def test_full_pipeline_counts(self, tmp_path):
         cfg = make_config(tmp_path)

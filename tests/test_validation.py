@@ -355,6 +355,22 @@ class TestGoldenAndFaults:
         repaired = broken.union(missing)
         assert validate(repaired, load_shapes(), load_patterns()).conforms
 
+    def test_each_antecedent_is_joined_once(self, monkeypatch):
+        from kgforge import validation
+
+        joined = []
+        original = validation.eval_bgp
+
+        def counting(graph, steps):
+            joined.append(steps)
+            return original(graph, steps)
+
+        monkeypatch.setattr(validation, "eval_bgp", counting)
+        rules = load_patterns()
+        report = validate_patterns(fault_graph("role_without_bearer.nt"), rules)
+        assert any(f.source == "process-agent-role" for f in report.findings)
+        assert len(joined) == len(rules)
+
     def test_findings_are_canonically_ordered(self):
         broken = Graph(
             set(fault_graph("role_without_bearer.nt"))
