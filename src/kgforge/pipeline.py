@@ -58,7 +58,7 @@ from .jsonld import (
 from .mapping import MappingRule, apply_rule, parse_rules, rule_pack_sources
 from .mint import MintConfig, mint_graph_iri, mint_resource_iri
 from .rdf import Graph, Iri, parse_nquads, serialize_nquads
-from .store import GRAPHS_DIR, MANIFEST_NAME, Store, graph_filename
+from .store import MANIFEST_NAME, Store, graph_filename
 from .validation import (
     PatternRule,
     Shape,
@@ -525,21 +525,12 @@ class LoadResult:
     store: Store = dataclasses.field(repr=False, compare=False)
 
 
-def _changed_text(staged: Path, stored: Path | None) -> str | None:
-    """The staged file's text, or None when it equals the ``stored``
-    file byte for byte."""
-    data = staged.read_bytes()
-    if stored is not None and data == stored.read_bytes():
-        return None
-    return data.decode("utf-8")
-
-
 def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
     """Replace each stored graph by its staged file and persist the store.
 
-    A staged file byte-identical to the stored file of its graph is
-    skipped unparsed; graphs without a staged file are left alone.
-    ``fresh`` discards the store first."""
+    A staged file that hashes to the manifest ``sha256`` of its stored
+    graph is skipped unparsed; graphs without a staged file are left
+    alone.  ``fresh`` discards the store first."""
     if not config.staging_dir.is_dir():
         raise StageError(f"nothing staged under {config.staging_dir}; run transform")
     records_per_graph = {
@@ -553,12 +544,12 @@ def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
     inserted = removed = 0
     for path in sorted(config.staging_dir.glob("*.nq")):
         graph = stored.get(path.name)
-        stored_file = None if graph is None else config.store_dir / GRAPHS_DIR / path.name
+        data = path.read_bytes()
+        digest = None if graph is None else store.graph_entry(graph).sha256
+        if digest is not None and hashlib.sha256(data).hexdigest() == digest:
+            continue
         try:
-            text = _changed_text(path, stored_file)
-            if text is None:
-                continue
-            quads = parse_nquads(text)
+            quads = parse_nquads(data.decode("utf-8"))
             if quads:
                 graph = quads[0].graph
                 if graph is None:

@@ -23,19 +23,33 @@ graph IRI order is the canonical text of the whole store.  ``persist``
 rewrites only the graphs changed since the store was loaded from, or
 last persisted to, that directory, then the manifest, each through a
 temporary file and a rename; it writes nothing when no graph changed.
-``load`` reads each distinct term of a file once, and raises
-``CorruptManifest`` for a directory that contradicts its manifest or
-holds a graph file that is not UTF-8 N-Quads.
+Each manifest entry records the ``sha256`` of its graph file.  ``load``
+reads each file once and each distinct term of it once, and raises
+``CorruptManifest`` for a directory that contradicts its manifest (a
+missing file, another quad count, a file that does not hash to its
+digest) or holds a graph file that is not UTF-8 N-Quads.  So a failure
+between two renames of ``persist``, which leaves new files under the
+old manifest, is caught.  An entry without a digest, persisted before
+digests were recorded, loads unchecked.
+
+``persist`` writes nothing but serializer output, so a file that
+matches its digest is the canonical text of the graph read from it.
+The store keeps the identity of each such certified file until the
+graph changes in memory, and ``open_certified`` hands it out again only
+while the file on disk is still that same file; ``persist`` renames a
+new file into place, so a rewritten graph has a new identity.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from ._atomic import replace_files
 from .mint import encode_for_uri
@@ -87,6 +101,18 @@ class _GraphEntry:
 
     filename: str
     loads: list[dict] = field(default_factory=list)
+    #: SHA-256 of the graph file as last persisted or loaded; None for
+    #: an entry persisted without one.
+    sha256: str | None = None
+
+
+#: What tells one file from another at a path: device, inode, size and
+#: modification time.
+_FileIdentity = tuple[int, int, int, int]
+
+
+def _file_identity(st: os.stat_result) -> _FileIdentity:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 class Store:
@@ -102,6 +128,9 @@ class Store:
         # and the graphs changed since.
         self._home: Path | None = None
         self._dirty: set[Iri] = set()
+        # Graph files that hashed to their digest at load, by graph: the
+        # path and the identity of the file read.
+        self._certified: dict[Iri, tuple[Path, _FileIdentity]] = {}
 
     # -- basic views ---------------------------------------------------
 
@@ -124,6 +153,25 @@ class Store:
 
     def graph_entry(self, graph: Iri) -> _GraphEntry:
         return self._manifest[graph]
+
+    def open_certified(self, graph: Iri) -> tuple[BinaryIO, int] | None:
+        """The graph's file, opened for reading, and its size, when
+        ``load`` certified it by its digest, the graph has not changed
+        since, and the file at that path is still the one read then;
+        otherwise None.  The caller closes the file.
+        """
+        certified = self._certified.get(graph)
+        if certified is None:
+            return None
+        path, identity = certified
+        try:
+            f = open(path, "rb")
+        except OSError:
+            return None
+        if _file_identity(os.fstat(f.fileno())) != identity:
+            f.close()
+            return None
+        return f, identity[2]
 
     def triples(self, graph: Iri | None = None) -> Graph:
         """Triples of one graph, or of the union of all graphs.
@@ -224,6 +272,7 @@ class Store:
             del self._graphs[graph]
         self._union = None
         self._dirty.add(graph)
+        self._certified.pop(graph, None)
 
     # -- lookup ----------------------------------------------------------
 
@@ -268,7 +317,9 @@ class Store:
         to, while its manifest exists, only the graphs changed since are
         written, and nothing at all when none changed.  Every file goes
         through a temporary file, all of them written before the first
-        rename, and the manifest is renamed last.
+        rename, and the manifest, which records the ``sha256`` of each
+        file written and keeps the digest of each file left alone, is
+        renamed last.
         """
         directory = Path(directory)
         home = directory.resolve()
@@ -281,27 +332,30 @@ class Store:
             changed = set(self._manifest)
         graphs_dir = directory / GRAPHS_DIR
         graphs_dir.mkdir(parents=True, exist_ok=True)
-        manifest_doc = {
-            graph.value: {
-                "file": entry.filename,
-                "quads": len(self.triples(graph)),
-                "loads": entry.loads,
-            }
-            for graph, entry in self._manifest.items()
-        }
-        text = json.dumps({"graphs": manifest_doc}, indent=2, sort_keys=True) + "\n"
+
         # A generator: each graph is serialized just before its temp file
-        # is written, so only one graph's text is held at a time.
-        files = (
-            (
-                graphs_dir / self._manifest[graph].filename,
-                serialize_nquads(self.triples(graph), graph),
-            )
-            for graph in sorted(changed, key=lambda g: g.value)
-        )
-        replace_files(itertools.chain(files, [(manifest_path, text)]))
+        # is written, so only one graph's text is held at a time, and the
+        # manifest is built once every digest is known.
+        def files():
+            for graph in sorted(changed, key=lambda g: g.value):
+                entry = self._manifest[graph]
+                data = serialize_nquads(self.triples(graph), graph).encode("utf-8")
+                entry.sha256 = hashlib.sha256(data).hexdigest()
+                yield graphs_dir / entry.filename, data
+            yield manifest_path, self._manifest_text()
+
+        replace_files(files())
         self._home = home
         self._dirty.clear()
+
+    def _manifest_text(self) -> str:
+        manifest_doc = {}
+        for graph, entry in self._manifest.items():
+            doc = {"file": entry.filename, "quads": len(self.triples(graph)), "loads": entry.loads}
+            if entry.sha256 is not None:
+                doc["sha256"] = entry.sha256
+            manifest_doc[graph.value] = doc
+        return json.dumps({"graphs": manifest_doc}, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def load(cls, directory: Path | str) -> "Store":
@@ -311,8 +365,12 @@ class Store:
         that cannot be read or disagrees with the files next to it, and
         a graph file that is not UTF-8 N-Quads, raise CorruptManifest
         naming the file (and the line and column of a syntax error).
+        The digest is checked last, so a file that is damaged in another
+        way keeps that message.  A file that matches its digest is
+        certified until its graph changes.
         """
         directory = Path(directory)
+        home = directory.resolve()
         store = cls()
         manifest_path = directory / MANIFEST_NAME
         if not manifest_path.exists():
@@ -336,13 +394,18 @@ class Store:
                 raise CorruptManifest(
                     f"manifest entry for {graph_value} is missing {exc}"
                 ) from exc
-            if not (isinstance(filename, str) and isinstance(loads, list)):
+            digest = entry_doc.get("sha256")
+            if not (
+                isinstance(filename, str)
+                and isinstance(loads, list)
+                and (digest is None or isinstance(digest, str))
+            ):
                 raise CorruptManifest(f"manifest entry for {graph_value} is malformed")
-            graph_file = directory / GRAPHS_DIR / filename
-            if not graph_file.exists():
-                raise CorruptManifest(f"missing graph file: {filename}")
+            graph_file = home / GRAPHS_DIR / filename
             try:
-                quads = parse_nquads(graph_file.read_text(encoding="utf-8"))
+                quads, sha256, identity = _read_graph_file(graph_file)
+            except (FileNotFoundError, NotADirectoryError):
+                raise CorruptManifest(f"missing graph file: {filename}") from None
             except UnicodeDecodeError as exc:
                 raise CorruptManifest(f"{filename} is not UTF-8: {exc}") from exc
             except ParseError as exc:
@@ -359,11 +422,36 @@ class Store:
                     f"{filename} holds {len(triples)} quads, "
                     f"manifest says {expected_count}"
                 )
+            if digest is not None:
+                if sha256 != digest:
+                    raise CorruptManifest(f"{filename} does not match its sha256 in the manifest")
+                if identity is not None:
+                    store._certified[graph] = (graph_file, identity)
             if triples:
                 store._graphs[graph] = triples
-            store._manifest[graph] = _GraphEntry(filename, list(loads))
-        store._home = directory.resolve()
+            store._manifest[graph] = _GraphEntry(filename, list(loads), digest)
+        store._home = home
         return store
+
+
+def _read_graph_file(path: Path) -> tuple[list[Quad], str, _FileIdentity | None]:
+    """A graph file's quads, the SHA-256 of its bytes and the identity of
+    the file read (None if it changed size while read), from one read.
+
+    Neither the bytes nor the text outlive the call, so they are not
+    held while the next file is read.  Raises OSError for a file that
+    cannot be read, UnicodeDecodeError for one that is not UTF-8, and
+    ParseError.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+        st = os.fstat(f.fileno())
+    identity = _file_identity(st) if st.st_size == len(data) else None
+    sha256 = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    if "\r" in text:  # as a text-mode read would: CRLF and CR end lines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_nquads(text), sha256, identity
 
 
 def graph_filename(graph: Iri) -> str:

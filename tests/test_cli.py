@@ -22,7 +22,7 @@ import pytest
 
 from kgforge.cli import main
 from kgforge.pipeline import ConfigError, load_config
-from kgforge.rdf import Iri, Quad, parse_ntriples
+from kgforge.rdf import Iri, Quad, Triple, parse_nquads, parse_ntriples, serialize_nquads
 from kgforge.store import Store
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "records"
@@ -230,10 +230,21 @@ def _miscount(project: Path) -> None:
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _edit(project: Path) -> None:
+    """Other canonical content in 2014-05.nq, with the quad count the
+    manifest says: what a crash between two renames of a load leaves."""
+    path = project / "store" / "graphs" / "2014-05.nq"
+    triples = [q.triple for q in parse_nquads(path.read_text(encoding="utf-8"))]
+    first = triples[0]
+    triples[0] = Triple(Iri("http://example.org/edited"), first.predicate, first.object)
+    path.write_text(serialize_nquads(set(triples), Iri(f"{BASE}graphs/2014/05")), encoding="utf-8")
+
+
 DAMAGE = {
     "not-utf8": (_append("graphs/2014-05.nq", b"\xff"), "2014-05.nq is not UTF-8"),
     "syntax": (_append("graphs/2014-05.nq", b"<a> <b> .\n"), "not an absolute IRI: 'a'"),
     "miscount": (_miscount, "manifest says"),
+    "edited": (_edit, "2014-05.nq does not match its sha256"),
 }
 
 
@@ -259,7 +270,13 @@ def damaged(loaded_project, tmp_path, request, capsys):
 class TestDamagedStore:
     @pytest.mark.parametrize(
         "damaged, command",
-        [("not-utf8", "stats"), ("syntax", "stats"), ("syntax", "load"), ("miscount", "stats")],
+        [
+            ("not-utf8", "stats"),
+            ("syntax", "stats"),
+            ("syntax", "load"),
+            ("miscount", "stats"),
+            ("edited", "stats"),
+        ],
         indirect=["damaged"],
     )
     def test_exits_2_with_the_file_and_no_traceback(self, damaged, command, capsys):
@@ -269,6 +286,14 @@ class TestDamagedStore:
         assert err.startswith("kgforge: error: corrupt store ")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damaged", ["edited"], indirect=True)
+    def test_load_fresh_rebuilds_the_store(self, damaged, capsys):
+        project, _ = damaged
+        assert run_cli(project, "load", "--fresh") == 0
+        capsys.readouterr()
+        assert run_cli(project, "stats") == 0
+        assert json.loads(capsys.readouterr().out)["total_triples"] == 1471
 
     @pytest.mark.parametrize("damaged", ["syntax"], indirect=True)
     def test_serve_exits_2_at_its_first_refresh(self, damaged):

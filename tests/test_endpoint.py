@@ -12,6 +12,7 @@ import contextlib
 import http.client
 import json
 import os
+import shutil
 import signal
 import socket
 import threading
@@ -47,10 +48,11 @@ from kgforge.rdf import (
     lang_literal,
     parse_nquads,
     parse_ntriples,
+    serialize_nquads,
     term_sort_key,
     triple_sort_key,
 )
-from kgforge.store import Store
+from kgforge.store import Store, graph_filename
 
 from . import oracle
 
@@ -724,6 +726,113 @@ class TestHttp:
             assert exc.code == 400
         else:
             raise AssertionError("update must be rejected")
+
+
+# ---------------------------------------------------------------------------
+# /export: certified files as stored, any other graph serialized
+# ---------------------------------------------------------------------------
+
+
+def get_twice(server, path) -> list[bytes]:
+    """The bodies of two requests for ``path`` on one connection."""
+    conn = http.client.HTTPConnection(*server.address, timeout=10)
+    try:
+        bodies = []
+        for _ in range(2):
+            conn.request("GET", path)
+            response = conn.getresponse()
+            assert response.status == 200
+            bodies.append(response.read())
+        return bodies
+    finally:
+        conn.close()
+
+
+def strip_digests(store_dir: Path, graphs=None) -> None:
+    """Remove the ``sha256`` key of ``graphs`` (every graph when None),
+    as in a manifest persisted before digests were recorded."""
+    path = store_dir / "manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for graph, entry in doc["graphs"].items():
+        if graphs is None or graph in graphs:
+            del entry["sha256"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+class TestExport:
+    def test_export_is_the_stored_file_and_the_canonical_text(self, served):
+        stored = (served.store_dir / "graphs" / "2014-05.nq").read_bytes()
+        assert stored == serialize_nquads(served.snapshot.store.triples(G1), G1).encode()
+        assert get_twice(served, "/export/2014/05") == [stored, stored]
+
+    def test_a_certified_file_is_sent_without_serializing(self, served, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a certified graph was serialized")
+
+        monkeypatch.setattr(endpoint, "serialize_nquads", refuse)
+        stored = (served.store_dir / "graphs" / "2014-06.nq").read_bytes()
+        with serving(served.store_dir) as server:
+            assert get_twice(server, "/export/2014/06") == [stored, stored]
+
+    def test_the_snapshot_is_exported_after_the_store_moves_on(self, tmp_path):
+        store_dir = tmp_path / "store"
+        persist_triples(store_dir, "bc")
+        before = (store_dir / "graphs" / "2014-05.nq").read_bytes()
+        with serving(store_dir) as server:
+            # Same size, other content.
+            persist_triples(store_dir, "de")
+            after = (store_dir / "graphs" / "2014-05.nq").read_bytes()
+            assert len(after) == len(before) and after != before
+            assert get_twice(server, "/export/2014/05") == [before, before]
+            server.refresh()
+            assert get_twice(server, "/export/2014/05") == [after, after]
+
+    def test_a_manifest_without_digests_exports_the_same_bytes(self, served, tmp_path):
+        store_dir = tmp_path / "store"
+        shutil.copytree(served.store_dir, store_dir)
+        strip_digests(store_dir)
+        assert Store.load(store_dir).open_certified(G1) is None
+        with serving(store_dir) as server:
+            for path in ("/export/2014/05", "/export/2014/06"):
+                assert get_twice(server, path) == get_twice(served, path)
+
+    def test_a_day_partitioned_month_is_its_day_graphs_in_iri_order(self, tmp_path):
+        days = [Iri(f"{EX}graphs/2014/05/{day}") for day in ("30", "02", "17")]
+        store = Store()
+        for n, graph in enumerate(days):
+            store.load_quads(
+                [Quad(Triple(iri(f"d{n}"), iri("p"), Literal(f"v{k}")), graph) for k in range(n + 1)]
+            )
+        store.load_quads([Quad(Triple(iri("e"), iri("p"), iri("f")), Iri(f"{EX}graphs/2014/06/01"))])
+        store_dir = tmp_path / "store"
+        store.persist(store_dir)
+        # The 17th is uncertified, the other two days are sent as stored.
+        strip_digests(store_dir, {f"{EX}graphs/2014/05/17"})
+        ordered = sorted(days, key=lambda g: g.value)
+        expected = b"".join(
+            (store_dir / "graphs" / graph_filename(g)).read_bytes() for g in ordered
+        )
+        assert expected == "".join(serialize_nquads(store.triples(g), g) for g in ordered).encode()
+        with serving(store_dir) as server:
+            assert get_twice(server, "/export/2014/05") == [expected, expected]
+
+    def test_a_body_short_of_its_length_closes_the_connection(self, served, monkeypatch):
+        open_certified = Store.open_certified
+
+        def overstated(store, graph):
+            f, size = open_certified(store, graph)
+            return f, size + 100
+
+        monkeypatch.setattr(Store, "open_certified", overstated)
+        with serving(served.store_dir) as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=10)
+            try:
+                conn.request("GET", "/export/2014/05")
+                response = conn.getresponse()
+                with pytest.raises(http.client.IncompleteRead):
+                    response.read()
+            finally:
+                conn.close()
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,29 @@ class TestStages:
         assert again.inserted == 0
         assert again.total == first.total
 
+    def test_reload_parses_only_staged_files_off_their_digest(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path)
+        stage_harvest(cfg)
+        stage_transform(cfg)
+        stage_load(cfg)
+        parsed = []
+        parse = pipeline.parse_nquads
+        monkeypatch.setattr(pipeline, "parse_nquads", lambda text: parsed.append(text) or parse(text))
+        assert stage_load(cfg).inserted == 0
+        assert parsed == []
+        # A manifest persisted without digests: each staged file is
+        # parsed, and replacing a graph by the same content is no change.
+        manifest = cfg.store_dir / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        for entry in doc["graphs"].values():
+            del entry["sha256"]
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        before = snapshot_dir(cfg.store_dir)
+        again = stage_load(cfg)
+        assert (again.inserted, again.removed) == (0, 0)
+        assert len(parsed) == 6
+        assert snapshot_dir(cfg.store_dir) == before
+
     def test_fresh_load_rebuilds(self, tmp_path):
         cfg = make_config(tmp_path)
         stage_harvest(cfg)

@@ -3,7 +3,9 @@ linear-scan oracle, statistics, and the persisted directory layout."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
@@ -538,6 +540,139 @@ class TestPersistence:
         path.write_text(path.read_text(encoding="utf-8").replace('"quads": 2', '"quads": 3'))
         with pytest.raises(CorruptManifest, match="holds 2 quads, manifest says 3"):
             Store.load(tmp_path)
+
+
+def _strip_digests(directory: Path) -> None:
+    """Remove every ``sha256`` key, as in a manifest persisted before
+    digests were recorded."""
+    path = directory / "manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for entry in doc["graphs"].values():
+        del entry["sha256"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _read_certified(store: Store, graph: Iri) -> bytes | None:
+    certified = store.open_certified(graph)
+    if certified is None:
+        return None
+    f, size = certified
+    with f:
+        data = f.read()
+    assert len(data) == size
+    return data
+
+
+class TestDigests:
+    def test_persist_records_the_digest_of_each_file(self, tmp_path):
+        store_with(Q1, Q3).persist(tmp_path)
+        store = Store.load(tmp_path)
+        store.load_quads([Q2], loaded_at=T2)
+        store.persist(tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        for entry in doc["graphs"].values():
+            data = (tmp_path / "graphs" / entry["file"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_a_manifest_without_digests_loads_uncertified(self, tmp_path):
+        store_with(Q1, Q3).persist(tmp_path)
+        _strip_digests(tmp_path)
+        store = Store.load(tmp_path)
+        assert store == store_with(Q1, Q3)
+        assert _read_certified(store, G_MAY) is None
+        assert _read_certified(store, G_JUNE) is None
+        # A graph left alone keeps no digest; a rewritten one gains it.
+        store.load_quads([Q2], loaded_at=T2)
+        store.persist(tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert "sha256" in doc["graphs"][G_MAY.value]
+        assert "sha256" not in doc["graphs"][G_JUNE.value]
+        reloaded = Store.load(tmp_path)
+        assert _read_certified(reloaded, G_MAY) is not None
+        assert _read_certified(reloaded, G_JUNE) is None
+
+    def test_an_edit_that_keeps_the_count_is_corrupt(self, tmp_path):
+        store_with(Q1, Q2).persist(tmp_path)
+        path = tmp_path / "graphs" / "2014-05.nq"
+        path.write_text(path.read_text(encoding="utf-8").replace('"x"', '"z"'), encoding="utf-8")
+        with pytest.raises(CorruptManifest, match=r"^2014-05\.nq does not match its sha256"):
+            Store.load(tmp_path)
+
+    def test_a_malformed_digest_is_a_malformed_entry(self, tmp_path):
+        store_with(Q1).persist(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["graphs"][G_MAY.value]["sha256"] = 5
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CorruptManifest, match="malformed"):
+            Store.load(tmp_path)
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    def test_a_torn_commit_never_loads_as_a_mix(self, tmp_path, monkeypatch, fail_at):
+        # Both graphs change with their quad counts kept, so only the
+        # digests tell the new files from the old ones.
+        old = store_with(Q1, Q3)
+        old.persist(tmp_path)
+        store = Store.load(tmp_path)
+        store.replace_graph(G_MAY, [Q2], loaded_at=T2)
+        store.replace_graph(G_JUNE, [Quad(Triple(ex("d4"), ex("q"), Literal("y")), G_JUNE)])
+        new = Store()
+        new.load_quads(store, loaded_at=T2)
+        replaces: list[Path] = []
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            replaces.append(Path(dst))
+            if len(replaces) == fail_at:
+                raise OSError(f"crash at rename {fail_at}")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="crash at rename"):
+            store.persist(tmp_path)
+        monkeypatch.undo()
+        # Two graph files, then the manifest.
+        assert len(replaces) == fail_at
+        try:
+            loaded = Store.load(tmp_path)
+        except CorruptManifest as exc:
+            assert str(exc).startswith(("2014-05.nq ", "2014-06.nq "))
+        else:
+            assert loaded in (old, new)
+        if fail_at > 1:  # a graph file is new, the manifest old
+            with pytest.raises(CorruptManifest, match="does not match its sha256"):
+                Store.load(tmp_path)
+        store.persist(tmp_path)
+        assert Store.load(tmp_path) == new
+
+    def test_a_changed_graph_has_no_certified_file(self, tmp_path):
+        store_with(Q1, Q3).persist(tmp_path)
+        store = Store.load(tmp_path)
+        for graph, name in ((G_MAY, "2014-05.nq"), (G_JUNE, "2014-06.nq")):
+            assert _read_certified(store, graph) == (tmp_path / "graphs" / name).read_bytes()
+        store.replace_graph(G_MAY, [Q2], loaded_at=T2)
+        assert _read_certified(store, G_MAY) is None
+        assert _read_certified(store, G_JUNE) is not None
+        store.load_quads([Quad(Q1.triple, G_JUNE)], loaded_at=T2)
+        assert _read_certified(store, G_JUNE) is None
+
+    def test_a_replay_keeps_the_certified_file(self, tmp_path):
+        store_with(Q1, Q3).persist(tmp_path)
+        store = Store.load(tmp_path)
+        store.load_quads([Q1], loaded_at=T2)
+        store.replace_graph(G_JUNE, [Q3], loaded_at=T2)
+        assert _read_certified(store, G_MAY) is not None
+        assert _read_certified(store, G_JUNE) is not None
+
+    def test_a_file_replaced_on_disk_is_no_longer_certified(self, tmp_path):
+        store_with(Q1, Q3).persist(tmp_path)
+        store = Store.load(tmp_path)
+        # Same size, other content, a new file renamed into place.
+        writer = Store.load(tmp_path)
+        writer.replace_graph(G_MAY, [Quad(Triple(ex("d1"), ex("p"), Literal("z")), G_MAY)])
+        writer.persist(tmp_path)
+        assert _read_certified(store, G_MAY) is None
+        assert _read_certified(store, G_JUNE) is not None
 
 
 class TestIdempotenceProperty:
