@@ -14,11 +14,13 @@ Exit codes: 0 success, 1 usage or configuration error, 2 stage failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
 from typing import Sequence
 
+from .harvest import CacheCorruption, HarvestError
 from .pipeline import (
     ConfigError,
     PipelineConfig,
@@ -218,6 +220,16 @@ def render_stats_table(stats: StoreStats) -> str:
 # Entry point
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "harvest": cmd_harvest,
+    "transform": cmd_transform,
+    "load": cmd_load,
+    "validate": cmd_validate,
+    "stats": cmd_stats,
+    "serve": cmd_serve,
+    "run": cmd_run,
+}
+
 #: Commands that mutate pipeline artifacts and therefore take the lock.
 _LOCKED_COMMANDS = {"harvest", "transform", "load", "validate", "run"}
 
@@ -235,35 +247,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"kgforge: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    options = {"fresh": args.fresh} if "fresh" in args else {}
+    locked = args.command in _LOCKED_COMMANDS
     try:
-        if args.command in _LOCKED_COMMANDS:
-            with store_lock(config.store_dir):
-                return _dispatch(args, config)
-        return _dispatch(args, config)
-    except StageError as exc:
+        with store_lock(config.store_dir) if locked else contextlib.nullcontext():
+            return _COMMANDS[args.command](config, **options)
+    except (StageError, HarvestError, CacheCorruption) as exc:
         print(f"kgforge: error: {exc}", file=sys.stderr)
         return EXIT_STAGE_FAILURE
     except CorruptManifest as exc:
         print(f"kgforge: error: corrupt store {config.store_dir}: {exc}", file=sys.stderr)
         return EXIT_STAGE_FAILURE
-
-
-def _dispatch(args: argparse.Namespace, config: PipelineConfig) -> int:
-    if args.command == "harvest":
-        return cmd_harvest(config)
-    if args.command == "transform":
-        return cmd_transform(config)
-    if args.command == "load":
-        return cmd_load(config, fresh=args.fresh)
-    if args.command == "validate":
-        return cmd_validate(config)
-    if args.command == "stats":
-        return cmd_stats(config)
-    if args.command == "serve":
-        return cmd_serve(config)
-    if args.command == "run":
-        return cmd_run(config, fresh=args.fresh)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ envelope::
 The cache is addressed by the SHA-256 of the envelope bytes, so an
 unchanged record costs nothing to re-harvest and the transform stage can
 read raw payloads without touching the source again.  Each envelope is
-hashed once per run; a run writes the cache's ``index.json`` once per
+hashed and decoded once per run, by :func:`parse_envelope`; one that is
+not UTF-8 JSON without a byte order mark (RFC 8259) is skipped as
+malformed.  A run writes the cache's ``index.json`` once per
 ``page_size`` new entries and once when it ends, so its writes grow
 linearly with the records it adds.
 
@@ -34,7 +36,7 @@ import time
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 from ._atomic import write_atomic
 from .jsonld import RawRecord, parse_payload
@@ -55,7 +57,8 @@ class HarvestError(RuntimeError):
 
 
 class CacheCorruption(RuntimeError):
-    """A cached payload no longer matches its recorded digest."""
+    """The cache index or a cached envelope is damaged; the message names
+    the file."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +73,8 @@ class SourceConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not self.base_url:
-            raise ValueError("base_url must be non-empty")
+        if not isinstance(self.base_url, str) or not self.base_url:
+            raise ValueError("base_url must be a non-empty string")
         if self.page_size < 1:
             raise ValueError("page_size must be at least 1")
         if self.rate_limit <= 0:
@@ -111,9 +114,14 @@ class RawCache:
         self._index: dict[str, dict] = {}
         #: Whether entries were added since the index file was last written.
         self._dirty = False
-        index_path = self.directory / INDEX_NAME
-        if index_path.exists():
-            self._index = json.loads(index_path.read_text(encoding="utf-8"))
+        self.index_path = self.directory / INDEX_NAME
+        if self.index_path.exists():
+            try:
+                self._index = json.loads(self.index_path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise CacheCorruption(f"{self.index_path} is not JSON: {exc}") from None
+            if not isinstance(self._index, dict):
+                raise CacheCorruption(f"{self.index_path} is not a JSON object")
 
     def __len__(self) -> int:
         return len(self._index)
@@ -125,13 +133,16 @@ class RawCache:
         doc = self._index.get(source_id)
         if doc is None:
             return None
-        return CacheEntry(
-            source_id=source_id,
-            submission_date=date.fromisoformat(doc["submitted"]),
-            content_digest=doc["digest"],
-            path=self.directory / doc["file"],
-            fetched_at=datetime.fromisoformat(doc["fetched_at"]),
-        )
+        try:
+            return CacheEntry(
+                source_id=source_id,
+                submission_date=date.fromisoformat(doc["submitted"]),
+                content_digest=doc["digest"],
+                path=self.directory / doc["file"],
+                fetched_at=datetime.fromisoformat(doc["fetched_at"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheCorruption(f"{self.index_path}: bad entry {source_id!r}: {exc!r}") from None
 
     def put(
         self, source_id: str, submitted: date, envelope: bytes, fetched_at: datetime
@@ -171,17 +182,20 @@ class RawCache:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
         write_atomic(
-            self.directory / INDEX_NAME,
+            self.index_path,
             json.dumps(self._index, indent=2, sort_keys=True) + "\n",
         )
         self._dirty = False
 
     def read_envelope(self, entry: CacheEntry) -> bytes:
         """The stored envelope bytes, verified against the digest."""
-        data = entry.path.read_bytes()
+        try:
+            data = entry.path.read_bytes()
+        except OSError as exc:
+            raise CacheCorruption(f"cannot read {entry.source_id!r} from the cache: {exc}") from None
         if hashlib.sha256(data).hexdigest() != entry.content_digest:
             raise CacheCorruption(
-                f"cached payload for {entry.source_id!r} does not match its digest"
+                f"{entry.path} for {entry.source_id!r} does not match its digest"
             )
         return data
 
@@ -191,13 +205,16 @@ class RawCache:
             yield self.get(source_id)
 
     def load_record(self, entry: CacheEntry) -> RawRecord:
-        return _record_from_envelope(self.read_envelope(entry), entry.fetched_at)
+        return RawRecord(*parse_envelope(self.read_envelope(entry)), entry.fetched_at)
 
 
-def parse_envelope(raw: bytes) -> tuple[str, date, bytes]:
-    """Validate envelope bytes; returns (source id, submission date, raw)."""
+def parse_envelope(raw: bytes) -> tuple[str, date, Any]:
+    """Decode envelope bytes (UTF-8 JSON, no BOM) once, keeping decimal
+    fractions exact; returns (source id, submission date, metadata)."""
     try:
-        doc = json.loads(raw)
+        doc = parse_payload(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"envelope is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"envelope is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -214,18 +231,7 @@ def parse_envelope(raw: bytes) -> tuple[str, date, bytes]:
         raise ValueError(f"bad 'submitted' date: {submitted!r}") from exc
     if "metadata" not in doc:
         raise ValueError("envelope is missing 'metadata'")
-    return source_id, when, raw
-
-
-def _record_from_envelope(raw: bytes, fetched_at: datetime) -> RawRecord:
-    source_id, when, _ = parse_envelope(raw)
-    payload = parse_payload(raw.decode("utf-8"))["metadata"]
-    return RawRecord(
-        source_id=source_id,
-        submission_date=when,
-        payload=payload,
-        fetched_at=fetched_at,
-    )
+    return source_id, when, doc["metadata"]
 
 
 @dataclass
@@ -237,9 +243,6 @@ class HarvestStats:
     filtered_out: int = 0
     yielded: int = 0
     resumed_past: int = 0
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
 
 
 class Harvester:
@@ -274,10 +277,11 @@ class Harvester:
         run ends, however it ends.
         """
         done = self._load_checkpoint()
+        directory = self.config.mode == "directory"
         try:
-            for raw in self._envelopes():
+            for raw in self._directory_envelopes() if directory else self._http_envelopes():
                 try:
-                    source_id, submitted, _ = parse_envelope(raw)
+                    source_id, submitted, metadata = parse_envelope(raw)
                 except ValueError as exc:
                     self.stats.skipped_malformed += 1
                     logger.warning("skipping malformed record: %s", exc)
@@ -299,14 +303,14 @@ class Harvester:
                 if source_id in done:
                     self.stats.resumed_past += 1
                     continue
-                record = _record_from_envelope(raw, fetched_at)
                 done.add(source_id)
                 self._append_checkpoint(source_id)
                 self.stats.yielded += 1
-                yield record
+                yield RawRecord(source_id, submitted, metadata, fetched_at)
         finally:
             self.cache.flush()
-        self._clear_checkpoint()
+        if self.checkpoint_path is not None:
+            self.checkpoint_path.unlink(missing_ok=True)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -345,17 +349,7 @@ class Harvester:
         with self.checkpoint_path.open("ab") as journal:
             journal.write(json.dumps(source_id).encode("ascii") + b"\n")
 
-    def _clear_checkpoint(self) -> None:
-        if self.checkpoint_path is not None:
-            self.checkpoint_path.unlink(missing_ok=True)
-
     # -- sources -----------------------------------------------------------
-
-    def _envelopes(self) -> Iterator[bytes]:
-        if self.config.mode == "directory":
-            yield from self._directory_envelopes()
-        else:
-            yield from self._http_envelopes()
 
     def _directory_envelopes(self) -> Iterator[bytes]:
         root = Path(self.config.base_url)
@@ -402,7 +396,7 @@ class Harvester:
         import urllib.error
         import urllib.request
 
-        last_error: Exception | None = None
+        last_error = ""
         for attempt in range(self.config.max_retries + 1):
             self._respect_rate_limit()
             try:
@@ -411,7 +405,9 @@ class Harvester:
                 self.stats.pages_fetched += 1
                 return body
             except (urllib.error.URLError, json.JSONDecodeError, OSError) as exc:
-                last_error = exc
+                last_error = str(exc)
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an error response holds its socket open
                 if attempt == self.config.max_retries:
                     break
                 delay = min(BACKOFF_CAP, 0.5 * (2**attempt))

@@ -48,7 +48,6 @@ from .harvest import (
     SourceConfig,
 )
 from .jsonld import (
-    JsonLdError,
     RawRecord,
     default_context_text,
     load_default_context,
@@ -110,7 +109,7 @@ class PipelineConfig:
         return self.store_dir / REPORT_NAME
 
     def to_json_dict(self) -> dict:
-        doc: dict[str, Any] = {
+        return {
             "source": {
                 "base_url": self.source.base_url,
                 "mode": self.source.mode,
@@ -132,7 +131,6 @@ class PipelineConfig:
             "shapes_dir": str(self.shapes_dir) if self.shapes_dir else None,
             "endpoint": {"host": self.host, "port": self.port},
         }
-        return doc
 
 
 #: Environment overrides: variable -> (section, field, parser).
@@ -185,20 +183,30 @@ def config_from_json_dict(
         p = Path(value)
         return p if p.is_absolute() else (base_dir / p)
 
+    def section(name: str) -> dict:
+        value = doc.get(name) or {}
+        if not isinstance(value, dict):
+            raise TypeError(f"{name} must be a JSON object")
+        return dict(value)
+
     try:
-        source_doc = dict(doc.get("source") or {})
+        source_doc = section("source")
         since = source_doc.get("since")
-        if isinstance(since, str):
+        if since is not None:
+            if not isinstance(since, str):
+                raise TypeError("source.since must be an ISO date string")
             source_doc["since"] = date.fromisoformat(since)
         source = SourceConfig(**source_doc)
 
-        mint_doc = dict(doc.get("mint") or {})
+        mint_doc = section("mint")
         if "base" not in mint_doc:
             raise ConfigError("config is missing mint.base")
+        if not isinstance(mint_doc["base"], str):
+            raise TypeError("mint.base must be a string")
         mint_doc["base"] = Iri(mint_doc["base"])
         mint = MintConfig(**mint_doc)
 
-        endpoint = doc.get("endpoint") or {}
+        endpoint = section("endpoint")
         return PipelineConfig(
             source=source,
             mint=mint,
@@ -350,12 +358,12 @@ def transform_record(
     raw = to_rdf(dataclasses.replace(record, payload=payload), context)
     scoped = relabel_blank_nodes(raw, record.source_id)
     per_rule: dict[str, int] = {}
-    mapped = Graph()
+    mapped: set = set()
     for rule in rules:
         out = apply_rule(scoped, rule)
         per_rule[rule.name] = len(out)
-        mapped = mapped.union(out)
-    return mint_graph_iri(mint, when), mapped, per_rule
+        mapped.update(out)
+    return mint_graph_iri(mint, when), Graph(mapped), per_rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -422,7 +430,7 @@ def _map_graph(
         try:
             record = cache.load_record(entry)
             _, mapped, counts = transform_record(record, mint, rules, context)
-        except (JsonLdError, TransformError, ValueError) as exc:
+        except (TransformError, ValueError) as exc:  # JsonLdError is a ValueError
             skipped += 1
             logger.warning("skipping record %r: %s", entry.source_id, exc)
             continue
@@ -641,7 +649,7 @@ def run_pipeline(config: PipelineConfig, *, fresh: bool = False) -> dict:
     try:
         harvest = timed("harvest", lambda: stage_harvest(config))
         summary["stages"]["harvest"].update(
-            records=harvest.records, **harvest.stats.to_json_dict()
+            records=harvest.records, **dataclasses.asdict(harvest.stats)
         )
         transform = timed("transform", lambda: stage_transform(config))
         summary["stages"]["transform"].update(

@@ -7,6 +7,7 @@ captured streams; ``serve`` gets a subprocess test because it blocks.
 from __future__ import annotations
 
 import http.client
+import http.server
 import json
 import os
 import shutil
@@ -14,6 +15,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -130,6 +132,20 @@ class TestStageCommands:
         assert "(1 skipped)" in caplog.text
         assert "BADTYPE" in caplog.text
 
+    def test_non_utf8_envelope_is_skipped_on_every_harvest(self, project, capsys, caplog):
+        source = project / "records"
+        shutil.copytree(FIXTURES, source)
+        bad = json.loads((FIXTURES / "rec_00.json").read_text())
+        bad["id"] = "10.14272/BOM/Raman"
+        (source / "bom.json").write_bytes(b"\xef\xbb\xbf" + json.dumps(bad).encode())
+        point_source_at(project, str(source))
+        for hits in (0, 50):
+            caplog.clear()
+            with caplog.at_level("INFO"):
+                assert run_cli(project, "harvest") == 0
+            assert capsys.readouterr().out == "50\n"
+            assert f"50 yielded, {hits} cache hits, 1 skipped" in caplog.text
+
     def test_load_prints_inserted(self, project, capsys):
         run_cli(project, "harvest")
         run_cli(project, "transform")
@@ -215,6 +231,64 @@ class TestExitCodes:
         assert run_cli(project, "stats") == 2
 
 
+def point_source_at(project: Path, base_url: str, **source) -> None:
+    config = project / "kgforge.json"
+    doc = json.loads(config.read_text())
+    doc["source"].update(base_url=base_url, **source)
+    config.write_text(json.dumps(doc))
+
+
+class _SourceHandler(http.server.BaseHTTPRequestHandler):
+    """``/broken`` answers a page of an unknown shape, anything else 500."""
+
+    def do_GET(self):
+        if self.path.startswith("/broken"):
+            body = b'{"weird": true}'
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        else:
+            self.send_error(500, "synthetic failure")
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def http_source():
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _SourceHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address
+    yield f"http://{host}:{port}"
+    server.shutdown()
+    server.server_close()
+
+
+class TestHarvestFailures:
+    @pytest.mark.parametrize(
+        "path, source, message",
+        [
+            ("missing", {"mode": "directory"}, "source directory does not exist"),
+            ("/failing", {"mode": "http", "max_retries": 0}, "after 1 attempts: HTTP Error 500"),
+            ("/broken", {"mode": "http"}, "unexpected page shape"),
+        ],
+        ids=["missing-directory", "gives-up", "page-shape"],
+    )
+    def test_exits_2_without_a_traceback(self, project, http_source, capsys, path, source, message):
+        base_url = str(project / path) if source["mode"] == "directory" else http_source + path
+        point_source_at(project, base_url, **source)
+        assert run_cli(project, "harvest") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kgforge: error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert run_cli(project, "run") == 2
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["failed_stage"] == "harvest"
+        assert message in summary["error"]
+
+
 def _append(relative: str, data: bytes):
     def damage(project: Path) -> None:
         with open(project / "store" / relative, "ab") as f:
@@ -259,10 +333,12 @@ def loaded_project(tmp_path_factory):
 
 @pytest.fixture()
 def damaged(loaded_project, tmp_path, request, capsys):
+    """A copy of the loaded project with one ``DAMAGE`` or ``CACHE_DAMAGE``
+    case applied, and the message it must produce."""
     project = tmp_path / "project"
     shutil.copytree(loaded_project, project)
     capsys.readouterr()
-    damage, message = DAMAGE[request.param]
+    damage, message = {**DAMAGE, **CACHE_DAMAGE}[request.param]
     damage(project)
     return project, message
 
@@ -307,6 +383,90 @@ class TestDamagedStore:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def _write_index(text: str):
+    def damage(project: Path) -> None:
+        (project / "cache" / "index.json").write_text(text, encoding="utf-8")
+
+    return damage
+
+
+def _truncate_index(project: Path) -> None:
+    path = project / "cache" / "index.json"
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _drop_key(key: str):
+    def damage(project: Path) -> None:
+        path = project / "cache" / "index.json"
+        index = json.loads(path.read_text(encoding="utf-8"))
+        del index[min(index)][key]
+        path.write_text(json.dumps(index), encoding="utf-8")
+
+    return damage
+
+
+def _first_blob(project: Path) -> Path:
+    index = json.loads((project / "cache" / "index.json").read_text(encoding="utf-8"))
+    return project / "cache" / index[min(index)]["file"]
+
+
+def _remove_blob(project: Path) -> None:
+    _first_blob(project).unlink()
+
+
+def _edit_blob(project: Path) -> None:
+    blob = _first_blob(project)
+    blob.write_bytes(blob.read_bytes() + b" ")  # still the same JSON
+
+
+CACHE_DAMAGE = {
+    "index-not-json": (_write_index("{not json"), "index.json is not JSON"),
+    "index-truncated": (_truncate_index, "index.json is not JSON"),
+    "index-list": (_write_index("[]"), "index.json is not a JSON object"),
+    "index-string": (_write_index('"entries"'), "index.json is not a JSON object"),
+    "no-submitted": (_drop_key("submitted"), "KeyError('submitted')"),
+    "no-digest": (_drop_key("digest"), "KeyError('digest')"),
+    "no-file": (_drop_key("file"), "KeyError('file')"),
+    "no-fetched_at": (_drop_key("fetched_at"), "KeyError('fetched_at')"),
+    "blob-missing": (_remove_blob, "No such file or directory"),
+    "blob-edited": (_edit_blob, "does not match its digest"),
+}
+_INDEX_DAMAGE = [name for name in CACHE_DAMAGE if not name.startswith("blob-")]
+
+
+class TestDamagedCache:
+    @pytest.mark.parametrize(
+        "damaged, command",
+        [(name, "harvest") for name in _INDEX_DAMAGE]
+        + [(name, "transform") for name in CACHE_DAMAGE],
+        indirect=["damaged"],
+    )
+    def test_exits_2_with_the_file_and_no_traceback(self, damaged, command, capsys):
+        project, message = damaged
+        staged = sorted((project / "staging").iterdir())
+        if command == "transform":
+            # Re-map every graph, so that each record's envelope is read.
+            (project / "staging" / "summary.json").unlink()
+            staged.remove(project / "staging" / "summary.json")
+        assert run_cli(project, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kgforge: error: ")
+        assert message in err
+        assert str(project / "cache") in err
+        assert "Traceback" not in err
+        assert sorted((project / "staging").iterdir()) == staged
+
+    @pytest.mark.parametrize("damaged", ["index-list", "blob-edited"], indirect=True)
+    def test_run_exits_2(self, damaged, capsys):
+        project, message = damaged
+        (project / "staging" / "summary.json").unlink()
+        assert run_cli(project, "run") == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert message in error
+        assert str(project / "cache") in error
 
 
 class TestServe:

@@ -40,6 +40,12 @@ def envelope(i: int, *, submitted: str = "2014-06-03") -> dict:
     }
 
 
+#: The same envelope with a UTF-8 byte order mark, and in UTF-16: JSON
+#: decoders that sniff the encoding accept both, RFC 8259 neither.
+BOM_ENVELOPE = b"\xef\xbb\xbf" + json.dumps(envelope(1)).encode()
+UTF16_ENVELOPE = json.dumps(envelope(1)).encode("utf-16")
+
+
 def write_journal(path, ids) -> None:
     path.write_text("".join(json.dumps(i) + "\n" for i in ids))
 
@@ -114,10 +120,10 @@ class TestSourceConfig:
 class TestParseEnvelope:
     def test_good_envelope(self):
         raw = json.dumps(envelope(7)).encode()
-        source_id, submitted, data = parse_envelope(raw)
+        source_id, submitted, metadata = parse_envelope(raw)
         assert source_id == "10.14272/KEY0007/Raman"
         assert submitted == date(2014, 6, 3)
-        assert data == raw
+        assert metadata == {"@type": "Dataset", "name": "Record 7"}
 
     @pytest.mark.parametrize(
         "raw",
@@ -129,10 +135,25 @@ class TestParseEnvelope:
             b'{"id": "x", "metadata": {}}',
             b'{"id": "x", "submitted": "June 3rd", "metadata": {}}',
             b'{"id": "x", "submitted": "2014-06-03"}',
+            # RFC 8259: UTF-8 only, and no byte order mark.
+            pytest.param(BOM_ENVELOPE, id="bom"),
+            pytest.param(UTF16_ENVELOPE, id="utf-16"),
         ],
     )
     def test_malformed_rejected(self, raw):
         with pytest.raises(ValueError):
+            parse_envelope(raw)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (BOM_ENVELOPE, "envelope is not JSON"),
+            (UTF16_ENVELOPE, "envelope is not UTF-8"),
+        ],
+        ids=["bom", "utf-16"],
+    )
+    def test_encoding_errors_are_named(self, raw, message):
+        with pytest.raises(ValueError, match=message):
             parse_envelope(raw)
 
 
@@ -267,11 +288,55 @@ class TestDirectoryHarvest:
         assert h.stats.skipped_malformed == 1
         assert "malformed" in caplog.text
 
+    @pytest.mark.parametrize("raw", [BOM_ENVELOPE, UTF16_ENVELOPE], ids=["bom", "utf-16"])
+    def test_non_utf8_envelope_is_a_malformed_skip_on_every_run(self, tmp_path, raw):
+        source = tmp_path / "source"
+        write_corpus(source, [envelope(0), envelope(1), envelope(2)])
+        (source / "rec_001.json").write_bytes(raw)
+        for _ in range(2):
+            h = directory_harvester(tmp_path, [])
+            ids = [r.source_id for r in h.records()]
+            assert ids == ["10.14272/KEY0000/Raman", "10.14272/KEY0002/Raman"]
+            assert h.stats.skipped_malformed == 1
+        assert "10.14272/KEY0001/Raman" not in h.cache
+
     def test_missing_directory_aborts(self, tmp_path):
         config = SourceConfig(base_url=str(tmp_path / "nowhere"), mode="directory")
         h = Harvester(config, RawCache(tmp_path / "cache"))
         with pytest.raises(HarvestError, match="does not exist"):
             list(h.records())
+
+
+class TestOneDecode:
+    """Each envelope is decoded once where it is read: once per record by
+    a harvest, once per record by ``load_record``."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        loads = json.loads
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        return calls
+
+    def test_directory_harvest_decodes_each_envelope_once(self, tmp_path, decodes):
+        n = 12
+        h = directory_harvester(tmp_path, [envelope(i) for i in range(n)])
+        assert len(list(h.records())) == n
+        assert len(decodes) == n
+
+    def test_load_record_decodes_once(self, tmp_path, decodes):
+        cache = RawCache(tmp_path / "cache")
+        fetched = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        raw = json.dumps(envelope(3)).encode()
+        entry = cache.put("10.14272/KEY0003/Raman", date(2014, 6, 3), raw, fetched)
+        decodes.clear()
+        assert cache.load_record(entry).payload == envelope(3)["metadata"]
+        assert len(decodes) == 1
 
 
 class TestCheckpoint:

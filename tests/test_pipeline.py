@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kgforge import mapping, pipeline
+from kgforge.cli import main
 from kgforge.endpoint import EndpointServer
 from kgforge.harvest import RawCache
 from kgforge.jsonld import RawRecord
@@ -149,6 +150,26 @@ class TestConfig:
         doc["source"]["mode"] = "carrier-pigeon"
         with pytest.raises(ConfigError, match="mode"):
             config_from_json_dict(doc, base_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("mint", "base", 5, "mint.base must be a string"),
+            (None, "endpoint", "localhost:8416", "endpoint must be a JSON object"),
+            ("source", "base_url", 5, "base_url must be a non-empty string"),
+            ("source", "since", 20140601, "source.since must be an ISO date string"),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, tmp_path, capsys, section, key, value, message):
+        doc = config_doc(tmp_path)
+        (doc if section is None else doc[section])[key] = value
+        with pytest.raises(ConfigError, match=f"^bad configuration: {message}$"):
+            config_from_json_dict(doc, base_dir=tmp_path, env={})
+        path = tmp_path / "kgforge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["-c", str(path), "harvest"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"kgforge: error: bad configuration: {message}\n"
 
     def test_unreadable_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
