@@ -16,8 +16,8 @@ exists get 503 and a closed connection.
 Requests run in forked worker processes, one per available CPU, each
 holding the snapshot copy-on-write, so that one CPU-bound query does not
 hold the interpreter lock of every other connection.  The parent accepts
-each connection and passes its descriptor to the worker of the current
-generation with the fewest open connections.  A ``refresh`` while
+each connection and passes its descriptor to the workers of the current
+generation in turn; no worker writes back.  A ``refresh`` while
 serving forks a new generation and retires the old one, whose workers
 finish the connections they hold and exit; each connection therefore
 answers from the snapshot that was current when it was accepted.  The
@@ -396,11 +396,8 @@ class _Worker:
     """A worker process as the parent sees it."""
 
     pid: int
-    #: The parent's end of the socketpair: connections go out on it and
-    #: one byte per closed connection comes back.
+    #: The parent's end of the socketpair that connections go out on.
     pair: socket.socket
-    #: Connections handed over and not yet reported closed.
-    open: int = 0
 
 
 class _Server(ThreadingHTTPServer):
@@ -408,19 +405,9 @@ class _Server(ThreadingHTTPServer):
     worker, in a worker it runs a handler thread per connection."""
 
     endpoint: EndpointServer
-    #: In a worker, its end of the socketpair to the parent.
-    closed_report: socket.socket | None = None
 
     def process_request(self, request, client_address) -> None:
         self.endpoint._hand_off(request)
-
-    def shutdown_request(self, request) -> None:
-        super().shutdown_request(request)
-        if self.closed_report is not None:
-            try:
-                self.closed_report.send(b".")
-            except OSError:
-                pass  # retired: the parent no longer counts
 
     def service_actions(self) -> None:
         self.endpoint._tend()
@@ -439,6 +426,8 @@ class EndpointServer:
         self._serving = False
         #: The current generation, which new connections go to.
         self._workers: list[_Worker] = []
+        #: Where in ``_workers`` the last connection went.
+        self._turn = 0
         #: Every worker not yet reaped, retired ones included.
         self._children: list[_Worker] = []
 
@@ -485,12 +474,13 @@ class EndpointServer:
             self._httpd.shutdown()
         self._httpd.server_close()
         with self._lock:
+            # None is current now, so none is replaced once reaped.
+            self._workers = []
             for worker in self._children:
                 worker.pair.close()
                 os.kill(worker.pid, signal.SIGTERM)
             while self._children:
                 self._reap(self._children[0])
-            self._workers = []
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
@@ -512,10 +502,10 @@ class EndpointServer:
         fresh = [self._spawn() for _ in range(_worker_count())]
         retired, self._workers = self._workers, fresh
         for worker in retired:
-            # End of file tells the worker to finish and exit, and its
-            # reports fail from now on; _tend reaps it.  A shutdown, not
-            # a close: workers of another server in this process may
-            # hold a copy of this end, which would keep it open.
+            # End of file tells the worker to finish and exit; _tend
+            # reaps it.  A shutdown, not a close: workers of another
+            # server in this process may hold a copy of this end, which
+            # would keep it open.
             worker.pair.shutdown(socket.SHUT_RDWR)
 
     def _spawn(self) -> _Worker:
@@ -557,7 +547,6 @@ class EndpointServer:
             gc.freeze()
             # Handler threads that server_close() waits for.
             httpd.daemon_threads = False
-            httpd.closed_report = pair
             while True:
                 message, fds, _, _ = socket.recv_fds(pair, 1, 1)
                 if not message:
@@ -575,59 +564,40 @@ class EndpointServer:
             os._exit(status)
 
     def _hand_off(self, request: socket.socket) -> None:
-        """Pass an accepted connection to the current generation's least
-        loaded worker."""
+        """Pass an accepted connection to the next worker of the current
+        generation."""
         with self._lock:
-            self._drain()
             for _ in range(len(self._workers) + 1):
-                worker = min(self._workers, key=lambda w: w.open)
+                self._turn = (self._turn + 1) % len(self._workers)
+                worker = self._workers[self._turn]
                 try:
                     socket.send_fds(worker.pair, [b"."], [request.fileno()])
                     break
                 except OSError:
-                    # It died since the drain; retry on its successor
-                    # or another worker.
-                    self._replace(worker)
+                    # It has died and _tend has not reaped it yet; the
+                    # reap forks its successor.
+                    os.kill(worker.pid, signal.SIGKILL)
+                    self._reap(worker)
             else:
                 raise OSError("no worker accepted the connection")
-            worker.open += 1
         # Close, never shut down: the worker holds the connection now.
         request.close()
 
-    def _drain(self) -> None:
-        """Count the connections the current workers report closed, and
-        replace a worker whose pair reads as closed."""
-        for worker in list(self._workers):
-            while True:
-                try:
-                    report = worker.pair.recv(4096)
-                except BlockingIOError:
-                    break
-                except OSError:
-                    report = b""
-                if not report:
-                    self._replace(worker)
-                    break
-                worker.open -= len(report)
-
-    def _replace(self, worker: _Worker) -> None:
-        """Reap a failed worker of the current generation and fork its
-        successor from the current snapshot."""
-        os.kill(worker.pid, signal.SIGKILL)
-        self._reap(worker)
-        self._workers[self._workers.index(worker)] = self._spawn()
-
     def _reap(self, worker: _Worker, flags: int = 0) -> None:
-        if os.waitpid(worker.pid, flags)[0] != 0:
-            worker.pair.close()
-            self._children.remove(worker)
+        """Reap the worker if it has exited and, if it was of the current
+        generation, fork its successor from the current snapshot."""
+        if os.waitpid(worker.pid, flags)[0] == 0:
+            return
+        worker.pair.close()
+        self._children.remove(worker)
+        if worker in self._workers:
+            self._workers[self._workers.index(worker)] = self._spawn()
 
     def _tend(self) -> None:
-        """From the serve loop: keep the counts fresh, replace failed
-        workers and reap retired ones that have exited."""
+        """From the serve loop: reap every worker that has exited, which
+        replaces those of the current generation."""
         with self._lock:
-            self._drain()
-            for worker in [w for w in self._children if w not in self._workers]:
+            for worker in list(self._children):
                 self._reap(worker, os.WNOHANG)
 
 

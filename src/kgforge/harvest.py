@@ -35,6 +35,7 @@ import random
 import time
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from decimal import Decimal
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -164,10 +165,7 @@ class RawCache:
         """Store one envelope whose SHA-256 ``digest`` the caller already
         knows; the index is written by the next :meth:`flush`."""
         relative = f"{digest[:2]}/{digest}.json"
-        blob = self.directory / relative
-        if not blob.exists():
-            blob.parent.mkdir(parents=True, exist_ok=True)
-            write_atomic(blob, envelope)
+        _write_blob(self.directory / relative, envelope)
         self._index[source_id] = {
             "digest": digest,
             "file": relative,
@@ -206,6 +204,24 @@ class RawCache:
 
     def load_record(self, entry: CacheEntry) -> RawRecord:
         return RawRecord(*parse_envelope(self.read_envelope(entry)), entry.fetched_at)
+
+
+def _write_blob(path: Path, envelope: bytes) -> None:
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, envelope)
+
+
+def _dumps(value: Any) -> str:
+    """``json.dumps(value)``, except that a ``Decimal`` keeps its digits:
+    a number of an HTTP page maps to the literal it would from a file."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dumps, value)) + "]"
+    if isinstance(value, Decimal):
+        return str(value)
+    return json.dumps(value)
 
 
 def parse_envelope(raw: bytes) -> tuple[str, date, Any]:
@@ -291,6 +307,9 @@ class Harvester:
                 if cached is not None and cached.content_digest == digest:
                     self.stats.cache_hits += 1
                     fetched_at = cached.fetched_at
+                    # The bytes hash to the index digest, so they restore
+                    # a deleted blob without touching the index.
+                    _write_blob(cached.path, raw)
                 else:
                     self.stats.cache_misses += 1
                     fetched_at = self.clock.now()
@@ -374,7 +393,7 @@ class Harvester:
             if not records:
                 return
             for doc in records:
-                yield json.dumps(doc).encode("utf-8")
+                yield _dumps(doc).encode("utf-8")
             if has_next:
                 # The source drives pagination itself; a null link ends
                 # the run without a trailing empty-page fetch.
@@ -401,7 +420,7 @@ class Harvester:
             self._respect_rate_limit()
             try:
                 with urllib.request.urlopen(url, timeout=30) as response:
-                    body = json.loads(response.read())
+                    body = json.loads(response.read(), parse_float=Decimal)
                 self.stats.pages_fetched += 1
                 return body
             except (urllib.error.URLError, json.JSONDecodeError, OSError) as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -28,6 +29,7 @@ from .rdf import (
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DECIMAL,
+    XSD_DOUBLE,
     XSD_INTEGER,
     BlankNode,
     Graph,
@@ -293,9 +295,7 @@ def _scalar(value: Any) -> Literal:
     if isinstance(value, int):
         return Literal(str(value), Iri(XSD_INTEGER))
     if isinstance(value, Decimal):
-        if value == value.to_integral_value():
-            return Literal(str(value.to_integral_value()), Iri(XSD_INTEGER))
-        return Literal(str(value), Iri(XSD_DECIMAL))
+        return _number(value)
     if isinstance(value, float):
         if value.is_integer():
             return Literal(str(int(value)), Iri(XSD_INTEGER))
@@ -303,6 +303,31 @@ def _scalar(value: Any) -> Literal:
     if isinstance(value, str):
         return Literal(value)
     raise JsonLdError(f"unsupported JSON value: {value!r}")
+
+
+def _number(value: Decimal) -> Literal:
+    """The literal of a JSON number, parsed to an exact decimal.
+
+    ``str`` writes a decimal in plain notation unless its exponent is
+    positive or it is below 1E-6, and the XSD integer and decimal lexical
+    forms have no exponent.  So an integral value below 10^21 is written
+    in plain digits, and any other value whose ``str`` has an exponent
+    becomes the canonical ``xsd:double`` that JSON-LD 1.1's toRdf writes
+    (``INF`` on overflow), never a huge string of digits.
+    """
+    text = str(value)
+    if value == value.to_integral_value() and ("E" not in text or abs(value) < 10**21):
+        return Literal(format(value.to_integral_value(), "f"), Iri(XSD_INTEGER))
+    if "E" not in text:
+        return Literal(text, Iri(XSD_DECIMAL))
+    number = float(value)
+    if math.isinf(number):
+        return Literal("INF" if number > 0 else "-INF", Iri(XSD_DOUBLE))
+    mantissa, exponent = f"{number:.15E}".split("E")
+    mantissa = mantissa.rstrip("0")
+    if mantissa.endswith("."):
+        mantissa += "0"
+    return Literal(f"{mantissa}E{int(exponent)}", Iri(XSD_DOUBLE))
 
 
 def _path_label(path: tuple[str, ...]) -> str:

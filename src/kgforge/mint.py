@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
+from urllib.parse import quote
 
 from .rdf import Iri
 
 GRANULARITIES = ("month", "day")
-
-_UNRESERVED = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"
-)
 
 
 def encode_for_uri(s: str) -> str:
@@ -28,13 +25,7 @@ def encode_for_uri(s: str) -> str:
     every other byte of the UTF-8 encoding becomes ``%XX`` with uppercase
     hex digits.
     """
-    out: list[str] = []
-    for ch in s:
-        if ch in _UNRESERVED:
-            out.append(ch)
-        else:
-            out.extend(f"%{b:02X}" for b in ch.encode("utf-8"))
-    return "".join(out)
+    return quote(s, safe="")
 
 
 @dataclass(frozen=True, slots=True)

@@ -207,6 +207,12 @@ def config_from_json_dict(
         mint = MintConfig(**mint_doc)
 
         endpoint = section("endpoint")
+        host = endpoint.get("host", "127.0.0.1")
+        if not isinstance(host, str):
+            raise TypeError("endpoint.host must be a string")
+        port = endpoint.get("port", 8416)
+        if type(port) is not int or not 0 <= port <= 65535:
+            raise TypeError("endpoint.port must be an integer from 0 to 65535")
         return PipelineConfig(
             source=source,
             mint=mint,
@@ -215,8 +221,8 @@ def config_from_json_dict(
             staging_dir=path_of(doc.get("staging_dir"), "staging"),
             rules_dir=path_of(doc.get("rules_dir")),
             shapes_dir=path_of(doc.get("shapes_dir")),
-            host=endpoint.get("host", "127.0.0.1"),
-            port=endpoint.get("port", 8416),
+            host=host,
+            port=port,
         )
     except ConfigError:
         raise

@@ -36,6 +36,7 @@ XSD_STRING = XSD + "string"
 XSD_BOOLEAN = XSD + "boolean"
 XSD_INTEGER = XSD + "integer"
 XSD_DECIMAL = XSD + "decimal"
+XSD_DOUBLE = XSD + "double"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = RDF_NS + "type"
 RDF_LANGSTRING = RDF_NS + "langString"

@@ -469,6 +469,23 @@ class TestDamagedCache:
         assert str(project / "cache") in error
 
 
+    def test_a_harvest_restores_a_missing_blob(self, loaded_project, tmp_path, capsys):
+        project = tmp_path / "project"
+        shutil.copytree(loaded_project, project)
+        staging = project / "staging"
+        before = {path.name: path.read_bytes() for path in staging.iterdir()}
+        blob = _first_blob(project)
+        envelope = blob.read_bytes()
+        index = (project / "cache" / "index.json").read_bytes()
+        blob.unlink()
+        shutil.rmtree(staging)  # re-map every graph, so that each envelope is read
+        assert run_cli(project, "harvest") == 0
+        assert blob.read_bytes() == envelope
+        assert (project / "cache" / "index.json").read_bytes() == index
+        assert run_cli(project, "transform") == 0
+        assert {path.name: path.read_bytes() for path in staging.iterdir()} == before
+
+
 class TestServe:
     @staticmethod
     def start_serving(project):

@@ -888,6 +888,27 @@ def bounded(call, seconds: float = 10.0) -> None:
     assert not thread.is_alive(), f"{call} did not return within {seconds} s"
 
 
+def holders(pids: set[int], server_port: int, conn: http.client.HTTPConnection) -> set[int]:
+    """The processes among ``pids`` that hold the server's end of
+    ``conn``: the socket from the server's port to the client's, found by
+    its inode in ``/proc/net/tcp``."""
+    client_port = conn.sock.getsockname()[1]
+    for line in Path("/proc/net/tcp").read_text().splitlines()[1:]:
+        fields = line.split()
+        local, remote, inode = fields[1], fields[2], fields[9]
+        if int(local.split(":")[1], 16) == server_port and int(remote.split(":")[1], 16) == client_port:
+            break
+    else:
+        raise AssertionError(f"no server socket for client port {client_port}")
+    held = set()
+    for pid in pids:
+        for fd in Path(f"/proc/{pid}/fd").iterdir():
+            with contextlib.suppress(FileNotFoundError):
+                if os.readlink(fd) == f"socket:[{inode}]":
+                    held.add(pid)
+    return held
+
+
 needs_proc_children = pytest.mark.skipif(
     not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
     reason="needs /proc/<pid>/task/<tid>/children",
@@ -1037,4 +1058,49 @@ class TestWorkerPool:
             assert victim not in now
             assert len(now) == len(workers)
         finally:
+            server.stop()
+
+    @needs_proc_children
+    def test_a_killed_worker_is_replaced_with_no_request_sent(self, tmp_path):
+        persist_triples(tmp_path / "store", "b")
+        server = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        server.refresh()
+        before = child_pids()
+        server.start()
+        try:
+            workers = child_pids() - before
+            victim = min(workers)
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not gone(victim) or len(child_pids() - before) != len(workers):
+                assert time.monotonic() < deadline, "the killed worker was not replaced"
+                time.sleep(0.01)
+            assert victim not in child_pids()
+        finally:
+            server.stop()
+
+    @needs_proc_children
+    @pytest.mark.skipif(not Path("/proc/net/tcp").exists(), reason="needs /proc/net/tcp")
+    def test_two_kept_alive_connections_after_a_probe_go_to_two_workers(self, tmp_path):
+        # The benchmark's query mix: one probe connection, then two
+        # kept-alive streams that should not share a worker's lock.
+        persist_triples(tmp_path / "store", "b")
+        server = EndpointServer(tmp_path / "store", "127.0.0.1", 0)
+        server.refresh()
+        before = child_pids()
+        server.start()
+        streams = [http.client.HTTPConnection(*server.address, timeout=10) for _ in range(2)]
+        try:
+            workers = child_pids() - before
+            if len(workers) < 2:
+                pytest.skip("a pool of one worker")
+            assert get(server, "/stats")[0] == 200
+            for conn in streams:
+                assert total_triples(conn) == 1
+            first, second = (holders(workers, server.address[1], conn) for conn in streams)
+            assert len(first) == len(second) == 1
+            assert first != second
+        finally:
+            for conn in streams:
+                conn.close()
             server.stop()

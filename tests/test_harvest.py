@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import random
+import re
 import threading
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
@@ -30,6 +31,8 @@ from kgforge.harvest import (
     SourceConfig,
     parse_envelope,
 )
+from kgforge.jsonld import JsonLdContext, to_rdf
+from kgforge.rdf import XSD, Iri
 
 
 def envelope(i: int, *, submitted: str = "2014-06-03") -> dict:
@@ -515,7 +518,7 @@ class _SourceHandler(BaseHTTPRequestHandler):
             body = {"weird": True}
         else:
             body = {"records": docs}
-        data = json.dumps(body).encode()
+        data = state.encode(body).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -530,7 +533,7 @@ class _SourceHandler(BaseHTTPRequestHandler):
 def http_source():
     servers = []
 
-    def start(envelopes, *, failures=0, mode="paged", clock=None):
+    def start(envelopes, *, failures=0, mode="paged", clock=None, encode=json.dumps):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _SourceHandler)
         host, port = server.server_address
         base_url = f"http://{host}:{port}/records"
@@ -542,8 +545,10 @@ def http_source():
             requests=0,
             request_times=[],
             base_url=base_url,
+            encode=encode,
         )
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # A short poll, so that shutdown() at teardown returns at once.
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
         servers.append(server)
         return server
 
@@ -672,3 +677,52 @@ class TestHttpHarvest:
         fresh = http_harvester(tmp_path, server, page_size=2)
         resumed = [r.source_id for r in fresh.records()]
         assert got + resumed == [f"10.14272/KEY{i:04d}/Raman" for i in range(4)]
+
+
+#: The XSD 1.1 lexical space of each numeric datatype.
+XSD_LEXICAL = {
+    XSD + "integer": r"[+-]?[0-9]+",
+    XSD + "decimal": r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)",
+    XSD + "double": r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([Ee][+-]?[0-9]+)?|[+-]?INF|NaN",
+}
+
+
+class TestNumbers:
+    @pytest.mark.parametrize(
+        "number",
+        [
+            "12",
+            "70.5",
+            "-0.0",
+            "1.10",
+            "0.1000000000000000055511151231257827",
+            "1e2",
+            "1.5e-10",
+            "0.0000001",
+            "1E21",
+            "1e400",
+        ],
+    )
+    def test_a_number_maps_to_one_valid_literal_from_either_source(self, tmp_path, http_source, number):
+        doc = envelope(1)
+        doc["metadata"] = {"@context": {"@vocab": "https://schema.org/"}, "@id": "https://x.example/d", "value": "N"}
+
+        def encode(body) -> str:
+            return json.dumps(body).replace('"N"', number)
+
+        server = http_source([doc], encode=encode)
+        source = tmp_path / "source"
+        source.mkdir()
+        (source / "rec.json").write_text(encode(doc))
+        harvesters = [
+            http_harvester(tmp_path / "http", server),
+            Harvester(SourceConfig(base_url=str(source)), RawCache(tmp_path / "directory")),
+        ]
+        literals = set()
+        for harvester in harvesters:
+            (record,) = harvester.records()
+            (triple,) = to_rdf(record, JsonLdContext())
+            assert triple.predicate == Iri("https://schema.org/value")
+            literals.add(triple.object)
+        (literal,) = literals
+        assert re.fullmatch(XSD_LEXICAL[literal.datatype.value], literal.lexical)

@@ -158,6 +158,12 @@ class TestConfig:
             (None, "endpoint", "localhost:8416", "endpoint must be a JSON object"),
             ("source", "base_url", 5, "base_url must be a non-empty string"),
             ("source", "since", 20140601, "source.since must be an ISO date string"),
+            (None, "endpoint", {"host": 5}, "endpoint.host must be a string"),
+            (None, "endpoint", {"port": "8416x"}, "endpoint.port must be an integer from 0 to 65535"),
+            (None, "endpoint", {"port": 70000}, "endpoint.port must be an integer from 0 to 65535"),
+            (None, "endpoint", {"port": -1}, "endpoint.port must be an integer from 0 to 65535"),
+            (None, "endpoint", {"port": True}, "endpoint.port must be an integer from 0 to 65535"),
+            (None, "endpoint", {"port": 8416.0}, "endpoint.port must be an integer from 0 to 65535"),
         ],
     )
     def test_wrong_json_type_rejected(self, tmp_path, capsys, section, key, value, message):
