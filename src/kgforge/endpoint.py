@@ -4,7 +4,11 @@ The query language is the same subset the mapping engine evaluates: a
 basic graph pattern, optionally scoped to one named graph, under a
 SELECT, ASK, or CONSTRUCT head.  SELECT adds ORDER BY on a variable plus
 LIMIT and OFFSET; everything else named in the SPARQL grammar is
-rejected at parse time with a message naming the feature.
+rejected at parse time with a message naming the feature.  SELECT and
+ASK are planned at parse time for the ordered join, which yields rows in
+the documented order, so a SELECT reads only its first ``OFFSET +
+LIMIT`` solutions and an ASK its first; CONSTRUCT runs through the
+mapping engine's ``apply_rule``.
 
 The HTTP server serves an immutable snapshot of the store.  ``refresh``
 loads a new snapshot from disk, indexes its union graph, computes its
@@ -39,15 +43,14 @@ Routes:
 from __future__ import annotations
 
 import gc
-import heapq
 import json
 import os
 import signal
 import socket
+import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, NoReturn
 from urllib.parse import parse_qs, urlparse
@@ -55,13 +58,14 @@ from urllib.parse import parse_qs, urlparse
 from ._scan import ScanError, Scanner
 from .mapping import (
     MappingRule,
+    OrderedPlan,
     TriplePattern,
     Variable,
     apply_rule,
     eval_bgp,
+    ordered_plan,
     parse_prologue,
     parse_triples_block,
-    plan,
 )
 from .rdf import (
     XSD_STRING,
@@ -73,7 +77,6 @@ from .rdf import (
     read_iri_or_pname,
     serialize_nquads,
     serialize_ntriples,
-    term_sort_key,
 )
 from .store import Store
 
@@ -117,12 +120,22 @@ class SelectQuery:
     order_by: str | None = None
     limit: int | None = None
     offset: int = 0
+    #: The join that yields the rows in order, planned once here.
+    plan: OrderedPlan = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", ordered_plan(self.where, self.order_by))
 
 
 @dataclass(frozen=True, slots=True)
 class AskQuery:
     where: tuple[TriplePattern, ...]
     graph: Iri | None = None
+    #: The join, planned once here.
+    plan: OrderedPlan = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", ordered_plan(self.where))
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,14 +280,18 @@ def _parse_where(
 
 
 def _read_count(sc: Scanner, clause: str) -> int:
+    """An unsigned integer of ASCII digits, at most ``sys.maxsize``."""
     sc.skip_ws()
-    digits = []
-    while not sc.at_end() and sc.peek().isdigit():
-        digits.append(sc.peek())
+    start = sc.pos
+    while "0" <= sc.peek() <= "9":
         sc.advance()
-    if not digits:
+    if sc.pos == start:
         raise sc.error(f"{clause} expects a non-negative integer")
-    return int("".join(digits))
+    # The length check keeps int() within its digit limit.
+    digits = sc.text[start : sc.pos].lstrip("0") or "0"
+    if len(digits) > len(str(sys.maxsize)) or int(digits) > sys.maxsize:
+        raise sc.error(f"{clause} is larger than {sys.maxsize}")
+    return int(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -313,54 +330,28 @@ def _term_json(term: Term) -> dict:
     return doc
 
 
-def _solution_order(solutions, order_by: str | None, count: int | None):
-    """The first *count* rows in canonical order, or every row when
-    *count* is None.
+def execute_select(store: Store, query: SelectQuery) -> SelectResult:
+    """The query's rows: its solutions in the documented order, from
+    ``OFFSET`` on, at most ``LIMIT`` of them.
 
     Rows sort by the ORDER BY variable first, then by every other
-    variable in name order, comparing terms with the canonical term
-    order.  Every solution of a basic graph pattern binds the same
-    variables, so the names are taken once, from the first; an ORDER BY
-    variable that the pattern does not bind is unbound in every row and
-    orders nothing.  With a *count*, a top-k keeps only those rows:
-    ``heapq.nsmallest`` equals ``sorted(...)[:count]``, ties included.
+    variable in name order, comparing terms in canonical term order; an
+    ORDER BY variable that the pattern does not bind orders nothing.
+    The join yields solutions in that order, so it stops after the
+    first ``OFFSET + LIMIT``.
     """
-    if len(solutions) < 2:
-        return solutions[:count]
-    names = sorted(solutions[0])
-    if order_by in names:
-        names.remove(order_by)
-        names.insert(0, order_by)
-    if len(names) == 1:
-        (name,) = names
-
-        def key(solution: dict):
-            return term_sort_key(solution[name])
-
-    else:
-        values = itemgetter(*names)
-
-        def key(solution: dict):
-            return tuple(map(term_sort_key, values(solution)))
-
-    if count is None:
-        return sorted(solutions, key=key)
-    return heapq.nsmallest(count, solutions, key=key)
-
-
-def execute_select(store: Store, query: SelectQuery) -> SelectResult:
-    solutions = eval_bgp(store.triples(query.graph), plan(query.where))
     count = None if query.limit is None else query.offset + query.limit
-    ordered = _solution_order(solutions, query.order_by, count)[query.offset :]
-    rows = tuple(
-        {name: sol[name] for name in query.variables if name in sol}
-        for sol in ordered
-    )
-    return SelectResult(variables=query.variables, rows=rows)
+    solutions = eval_bgp(store.triples(query.graph), query.plan, limit=count)[query.offset :]
+    if not set(query.plan.variables).issubset(query.variables):
+        solutions = [
+            {name: sol[name] for name in query.variables if name in sol} for sol in solutions
+        ]
+    return SelectResult(variables=query.variables, rows=tuple(solutions))
 
 
 def execute_ask(store: Store, query: AskQuery) -> bool:
-    return bool(eval_bgp(store.triples(query.graph), plan(query.where)))
+    """Whether the pattern has a solution; the join stops at the first."""
+    return bool(eval_bgp(store.triples(query.graph), query.plan, limit=1))
 
 
 def execute_construct(store: Store, query: ConstructQuery) -> Graph:

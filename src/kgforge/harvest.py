@@ -231,7 +231,7 @@ def parse_envelope(raw: bytes) -> tuple[str, date, Any]:
         doc = parse_payload(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"envelope is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a non-JSON constant
         raise ValueError(f"envelope is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("envelope must be a JSON object")

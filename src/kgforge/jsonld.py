@@ -23,7 +23,7 @@ from datetime import date, datetime
 from decimal import Decimal
 from functools import cache
 from importlib import resources
-from typing import Any, Mapping
+from typing import Any, Mapping, NoReturn
 
 from .rdf import (
     RDF_TYPE,
@@ -142,9 +142,17 @@ class RawRecord:
             raise ValueError("source_id must be nonempty")
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_payload(text: str) -> Any:
-    """Parse record JSON, keeping decimal fractions exact."""
-    return json.loads(text, parse_float=Decimal)
+    """Parse record JSON, keeping decimal fractions exact.
+
+    ``NaN``, ``Infinity`` and ``-Infinity``, which ``json.loads`` takes
+    by default but RFC 8259 does not allow, raise ValueError.
+    """
+    return json.loads(text, parse_float=Decimal, parse_constant=_reject_constant)
 
 
 def default_context_text() -> str:
@@ -296,10 +304,6 @@ def _scalar(value: Any) -> Literal:
         return Literal(str(value), Iri(XSD_INTEGER))
     if isinstance(value, Decimal):
         return _number(value)
-    if isinstance(value, float):
-        if value.is_integer():
-            return Literal(str(int(value)), Iri(XSD_INTEGER))
-        return Literal(repr(value), Iri(XSD_DECIMAL))
     if isinstance(value, str):
         return Literal(value)
     raise JsonLdError(f"unsupported JSON value: {value!r}")

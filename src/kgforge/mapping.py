@@ -16,16 +16,23 @@ never the solution set.  Every solution at a step binds the same
 variables, so the plan also tells each step which of its variables are
 joined (already bound: they go into the lookup key), which are new (stored
 without a check) and which repeat within the pattern (the only equality
-the join compares itself).
+the join compares itself).  Rules and validation use this hash join.
+
+The endpoint's SELECT and ASK use the ordered join instead
+(``ordered_plan``, ``ordered_join``): it binds one variable at a time,
+in the order the endpoint sorts rows by, over sorted id permutations of
+the graph's ordered index, so it yields solutions in that order and can
+stop after a prefix.  ``eval_bgp`` runs either plan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ._scan import ScanError, Scanner
 from .mint import encode_for_uri
@@ -441,13 +448,19 @@ def plan_from(bound: Iterable[str], patterns: Iterable[TriplePattern]) -> tuple[
     return tuple(steps)
 
 
-def eval_bgp(graph: Graph, plan: Iterable[Step]) -> list[dict[str, Term]]:
-    """All solutions over *graph* of the basic graph pattern *plan*.
+def eval_bgp(
+    graph: Graph, plan: Iterable[Step] | OrderedPlan, *, limit: int | None = None
+) -> list[dict[str, Term]]:
+    """The solutions over *graph* of the basic graph pattern *plan*.
 
     Natural-join semantics: the empty pattern has exactly one empty
-    solution.  The result is duplicate-free with no dedupe: each solution
-    extends a distinct solution by a distinct matching triple.
+    solution, and no solution repeats.  A plan from ``plan`` gives every
+    solution, in no particular order, by the hash join of ``extend``.
+    An ``OrderedPlan`` gives the first *limit* solutions (all of them
+    when it is None) in the plan's variable order, by ``ordered_join``.
     """
+    if isinstance(plan, OrderedPlan):
+        return ordered_join(graph, plan, limit)
     return extend(graph, plan, [{}])
 
 
@@ -483,6 +496,184 @@ def extend(
         if not solutions:
             return []
     return solutions
+
+
+class OrderedPlan(NamedTuple):
+    """A basic graph pattern planned for ``ordered_join``: variables are
+    bound one at a time, in ``variables`` order, and each pattern reads
+    the permutation of the graph's ordered index that lists its
+    constants first and then its variables in that order."""
+
+    #: The binding order.
+    variables: tuple[str, ...]
+    #: The patterns without a variable, each a triple the graph must hold.
+    ground: tuple[Triple, ...]
+    #: Per other pattern: its permutation, then its constants in that
+    #: order.
+    scans: tuple[tuple[tuple[int, ...], tuple[Term, ...]], ...]
+    #: Per variable: ``(pattern, first, last)`` of each pattern that
+    #: holds it, in its permutation's columns ``first`` to ``last``
+    #: (``last > first`` for a repeat such as ``?x p ?x``).
+    levels: tuple[tuple[tuple[int, int, int], ...], ...]
+    #: Per variable: ``(pattern, column)`` when that one pattern holds it
+    #: and every later variable, once each from that column on, so that
+    #: its rows are the remaining solutions as they stand; else None.
+    tails: tuple[tuple[int, int] | None, ...]
+
+
+def ordered_plan(
+    patterns: Iterable[TriplePattern], order_by: str | None = None
+) -> OrderedPlan:
+    """The plan that answers *patterns* in the endpoint's row order: by
+    *order_by* first, when a pattern holds it, then by every other
+    variable in name order."""
+    patterns = [p.terms() for p in patterns]
+    names = sorted({t.name for terms in patterns for t in terms if isinstance(t, Variable)})
+    if order_by in names:
+        names.remove(order_by)
+        names.insert(0, order_by)
+    depth = {name: d for d, name in enumerate(names)}
+    ground, scans = [], []
+    levels: list[list[tuple[int, int, int]]] = [[] for _ in names]
+    for terms in patterns:
+        constant, variable = [], []
+        for k, t in enumerate(terms):
+            if isinstance(t, Variable):
+                variable.append((depth[t.name], k))
+            else:
+                constant.append(k)
+        if not variable:
+            ground.append(Triple(*terms))
+            continue
+        j = len(scans)
+        variable.sort()
+        order = constant + [k for _, k in variable]
+        scans.append((tuple(order), tuple([terms[k] for k in constant])))
+        for column, (d, _) in enumerate(variable, start=len(constant)):
+            level = levels[d]
+            if level and level[-1][0] == j:
+                level[-1] = (j, level[-1][1], column)
+            else:
+                level.append((j, column, column))
+    # A tail at one variable is a tail at each later one, in one pattern.
+    tails: list[tuple[int, int] | None] = [None] * len(names)
+    for d in reversed(range(len(names))):
+        if len(levels[d]) != 1:
+            break
+        ((j, first, last),) = levels[d]
+        if first != last or (d + 1 < len(names) and tails[d + 1][0] != j):
+            break
+        tails[d] = (j, first)
+    return OrderedPlan(
+        tuple(names), tuple(ground), tuple(scans), tuple(map(tuple, levels)), tuple(tails)
+    )
+
+
+def ordered_join(
+    graph: Graph, plan: OrderedPlan, limit: int | None = None
+) -> list[dict[str, Term]]:
+    """The first *limit* solutions of *plan* over *graph* (all of them
+    when *limit* is None), sorted by the plan's variables in turn.
+
+    A generic join in the manner of Leapfrog Triejoin (Veldhuizen, ICDT
+    2014): each pattern holds a range of its permutation, narrowed by
+    its constants and then by each variable it holds.  A variable takes
+    the ids on which every range that holds it agrees, in increasing
+    order, which is canonical term order, so solutions come out sorted
+    and the join stops at the *limit*-th.  A constant that the graph
+    lacks, or an empty range, is an empty answer.
+    """
+    if limit == 0 or not all(t in graph for t in plan.ground):
+        return []
+    if not plan.variables:
+        return [{}]
+    index = graph.ordered()
+    ids = index.ids
+    columns, lo, hi = [], [], []
+    for order, constants in plan.scans:
+        cols = index.permutation(order)
+        a, b = 0, len(index)
+        for col, term in zip(cols, constants):
+            i = ids.get(term)
+            if i is None:
+                return []
+            a = bisect_left(col, i, a, b)
+            b = bisect_right(col, i, a, b)
+        if a == b:
+            return []
+        columns.append(cols)
+        lo.append(a)
+        hi.append(b)
+    levels, tails = plan.levels, plan.tails
+    n = len(plan.variables)
+    values = [0] * n
+    out: list[tuple[int, ...]] = []
+
+    def solve(d: int) -> bool:
+        """Add the solutions that extend ``values[:d]``; True once
+        *limit* are found."""
+        if d == n:
+            out.append(tuple(values))
+            return len(out) == limit
+        tail = tails[d]
+        if tail is not None:
+            j, k = tail
+            a, b = lo[j], hi[j]
+            if limit is not None:
+                b = min(b, a + limit - len(out))
+            rows = zip(*[col[a:b] for col in columns[j][k:]])
+            if d:
+                prefix = tuple(values[:d])
+                out.extend([prefix + row for row in rows])
+            else:
+                out.extend(rows)
+            return len(out) == limit
+        level = levels[d]
+        saved = [(lo[j], hi[j]) for j, _, _ in level]
+        cols = [columns[j][first] for j, first, _ in level]
+        starts = [a for a, _ in saved]
+        ends = [b for _, b in saved]
+        v = max(col[a] for col, a in zip(cols, starts))
+        found = False
+        while not found:
+            # Seek every range to its first id >= v; a larger id met on
+            # the way becomes v, and the seek starts again.
+            for i, col in enumerate(cols):
+                a = starts[i]
+                if col[a] < v:
+                    a = starts[i] = bisect_left(col, v, a, ends[i])
+                    if a == ends[i]:
+                        break
+                if col[a] > v:
+                    v = col[a]
+                    break
+            else:
+                # Every range holds v: narrow each to its run of v.
+                agreed = True
+                for i, (j, first, last) in enumerate(level):
+                    a = starts[i]
+                    b = starts[i] = bisect_right(cols[i], v, a, ends[i])
+                    for col in columns[j][first + 1 : last + 1]:
+                        a = bisect_left(col, v, a, b)
+                        b = bisect_right(col, v, a, b)
+                    agreed = agreed and a < b
+                    lo[j], hi[j] = a, b
+                if agreed:
+                    values[d] = v
+                    found = solve(d + 1)
+                if any(a == b for a, b in zip(starts, ends)):
+                    break
+                v = max(col[a] for col, a in zip(cols, starts))
+                continue
+            if starts[i] == ends[i]:
+                break
+        for (j, _, _), (a, b) in zip(level, saved):
+            lo[j], hi[j] = a, b
+        return found
+
+    solve(0)
+    names, terms = plan.variables, index.terms
+    return [dict(zip(names, map(terms.__getitem__, row))) for row in out]
 
 
 def eval_expression(e: Expression, binding: BindingSet):

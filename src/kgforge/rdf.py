@@ -26,6 +26,7 @@ dataset's text is its graphs' texts in graph order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -202,14 +203,16 @@ class Graph:
     The three maps are built on the first ``match`` with a bound
     position: graphs made in passing (``union`` in a transform) are
     never looked up, and the set never changes, so the maps never go
-    stale.
+    stale.  The ordered index that the endpoint's joins read is built
+    the same way, on its first ``ordered()``.
     """
 
-    __slots__ = ("_triples", "_maps")
+    __slots__ = ("_triples", "_maps", "_ordered")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples = frozenset(triples)
         self._maps: tuple[dict, dict, dict] | None = None
+        self._ordered: OrderedIndex | None = None
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -299,9 +302,64 @@ class Graph:
             maps = self._maps = (by_s, by_p, by_o)
         return maps
 
+    def ordered(self) -> OrderedIndex:
+        """The graph's ordered index, built on first use and published
+        in one attribute store, as the maps are."""
+        index = self._ordered
+        if index is None:
+            index = self._ordered = OrderedIndex(self._triples)
+        return index
+
     def subjects_of_type(self, cls: Iri) -> set[Subject]:
         rdf_type = Iri(RDF_TYPE)
         return {t.subject for t in self.match(predicate=rdf_type, obj=cls)}
+
+
+class OrderedIndex:
+    """A graph's triples as sorted rows of term ids.
+
+    The dictionary ranks the graph's distinct terms by ``term_sort_key``,
+    so ids order as their terms do in the canonical order (the idea of
+    RDF-3X's dictionary, Neumann & Weikum, VLDB 2008).  A permutation is
+    the id rows sorted by three positions in a given order, built on its
+    first use and kept as one ``array`` column per position: a forked
+    process that reads the columns writes no reference count into them.
+    Two threads racing on a permutation build equal columns.
+    """
+
+    __slots__ = ("terms", "ids", "_rows", "_permutations")
+
+    def __init__(self, triples: Iterable[Triple]):
+        triples = list(triples)
+        distinct = {t.subject for t in triples}
+        distinct.update(t.predicate for t in triples)
+        distinct.update(t.object for t in triples)
+        #: The distinct terms in canonical order; a term's id is its index.
+        self.terms: list[Term] = sorted(distinct, key=term_sort_key)
+        #: The id of each term.
+        self.ids: dict[Term, int] = {term: i for i, term in enumerate(self.terms)}
+        ids = self.ids
+        # Subject, predicate and object ids of each triple, in set order.
+        self._rows = (
+            array("i", [ids[t.subject] for t in triples]),
+            array("i", [ids[t.predicate] for t in triples]),
+            array("i", [ids[t.object] for t in triples]),
+        )
+        self._permutations: dict[tuple[int, ...], tuple[array, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows[0])
+
+    def permutation(self, order: tuple[int, ...]) -> tuple[array, ...]:
+        """The id rows sorted by the positions of *order* (0 subject, 1
+        predicate, 2 object; all three, once each), as one column per
+        entry of *order*."""
+        columns = self._permutations.get(order)
+        if columns is None:
+            rows = sorted(zip(*(self._rows[k] for k in order)))
+            columns = tuple(array("i", [row[k] for row in rows]) for k in range(3))
+            self._permutations[order] = columns
+        return columns
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import os
 import shutil
 import signal
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -39,10 +40,12 @@ from kgforge.endpoint import (
 )
 from kgforge.mapping import TriplePattern, Variable, eval_bgp, plan
 from kgforge.rdf import (
+    RDF_TYPE,
     BlankNode,
     Graph,
     Iri,
     Literal,
+    OrderedIndex,
     Quad,
     Triple,
     lang_literal,
@@ -157,6 +160,11 @@ class TestParseQuery:
             ("SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s", "unexpected content"),
             ("SELECT ?s WHERE { FILTER(?s) }", "unsupported feature: FILTER"),
             ("SELECT ?s WHERE { ?s ?p ?o } LIMIT ?n", "non-negative integer"),
+            # Only ASCII digits count: str.isdigit() takes both of these.
+            ("SELECT ?s WHERE { ?s ?p ?o } LIMIT \u00b2", "non-negative integer"),
+            ("SELECT ?s WHERE { ?s ?p ?o } LIMIT \u0663", "non-negative integer"),
+            (f"SELECT ?s WHERE {{ ?s ?p ?o }} LIMIT {sys.maxsize + 1}", "LIMIT is larger than"),
+            ("SELECT ?s WHERE { ?s ?p ?o } OFFSET " + "9" * 5_000, "OFFSET is larger than"),
             ("DESCRIBE <http://example.org/a>", "expected SELECT, ASK, or CONSTRUCT"),
             ("SELECT ?s WHERE { ?s ?p ?o . { ?a ?b ?c } }", "nested group"),
             ("PREFIX ex <http://example.org/> SELECT ?s WHERE { ?s ?p ?o }", "prefix"),
@@ -167,6 +175,10 @@ class TestParseQuery:
     def test_rejections_name_the_problem(self, text, message):
         with pytest.raises(QueryParseError, match=message):
             parse_query(text)
+
+    def test_counts_up_to_maxsize_parse(self):
+        q = parse_query(f"SELECT ?s WHERE {{ ?s ?p ?o }} LIMIT {sys.maxsize} OFFSET 00000000000000000000007")
+        assert (q.limit, q.offset) == (sys.maxsize, 7)
 
     def test_errors_carry_position(self):
         with pytest.raises(QueryParseError) as info:
@@ -324,6 +336,25 @@ ORDER_CASES = {
 }
 
 
+#: Patterns of the shapes the ordered join treats apart, over a random
+#: graph of the oracle's terms.
+def shaped_bgp(shape: str, graph: Graph, rng) -> list[TriplePattern]:
+    a, b, c = Variable("a"), Variable("b"), Variable("c")
+    if shape == "repeated-variable":
+        return [
+            TriplePattern(a, rng.choice(oracle.PREDICATES), a),
+            TriplePattern(a, b, c),
+        ]
+    if shape == "ground-pattern":
+        if graph and rng.random() < 0.7:
+            t = rng.choice(sorted(graph, key=triple_sort_key))
+        else:
+            t = Triple(rng.choice(oracle.SUBJECTS), rng.choice(oracle.PREDICATES), rng.choice(oracle.OBJECTS))
+        return [TriplePattern(t.subject, t.predicate, t.object), TriplePattern(a, b, c)]
+    assert shape == "absent-constant"
+    return [TriplePattern(a, iri("absent"), b), TriplePattern(b, c, a)]
+
+
 class TestSelectOrderAgainstOracle:
     @pytest.mark.parametrize(
         "order_by, limit, offset", list(ORDER_CASES.values()), ids=list(ORDER_CASES)
@@ -352,6 +383,34 @@ class TestSelectOrderAgainstOracle:
         expected = documented_order(solutions, order_by)[offset:end]
         assert list(execute_select(store, query).rows) == expected
 
+    @pytest.mark.parametrize(
+        "shape, graph_iri",
+        [
+            ("repeated-variable", G1),
+            ("ground-pattern", G1),
+            ("absent-constant", G1),
+            ("repeated-variable", Iri(f"{EX}graphs/1999/01")),
+        ],
+        ids=["repeated-variable", "ground-pattern", "absent-constant", "unknown-graph"],
+    )
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
+    def test_shaped_patterns_are_the_sorted_bruteforce_slice(self, shape, graph_iri, rng):
+        graph = oracle.random_graph(rng, 25)
+        bgp = shaped_bgp(shape, graph, rng)
+        store = Store()
+        store.load_quads([Quad(t, G1) for t in graph])
+        names = sorted(set().union(*(p.variables() for p in bgp)))
+        offset = rng.randrange(3)
+        query = SelectQuery(
+            variables=tuple(names), where=tuple(bgp), graph=graph_iri,
+            order_by=rng.choice(names), limit=5, offset=offset,
+        )
+        scoped = graph if graph_iri == G1 else Graph()
+        solutions = [dict(s) for s in oracle.eval_bgp_bruteforce(scoped, bgp)]
+        expected = documented_order(solutions, query.order_by)[offset : offset + 5]
+        assert list(execute_select(store, query).rows) == expected
+
     def test_ties_on_the_order_by_variable_fall_to_the_other_variables(self):
         store = Store()
         store.load_quads(
@@ -370,6 +429,65 @@ class TestSelectOrderAgainstOracle:
             (iri("a"), iri("c")),
             (iri("a"), iri("d")),
         ]
+
+
+class TestAskAgainstOracle:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    def test_ask_is_bruteforce_nonemptiness(self, rng):
+        graph = oracle.random_graph(rng, 40)
+        bgp = oracle.random_bgp(rng, 3)
+        assume(oracle.product_cost(graph, bgp) <= 20_000)
+        store = Store()
+        store.load_quads([Quad(t, G1) for t in graph])
+        expected = bool(oracle.eval_bgp_bruteforce(graph, bgp))
+        assert execute_ask(store, AskQuery(where=tuple(bgp))) is expected
+
+
+class _Counted:
+    """A permutation column that logs how many ids each read takes."""
+
+    def __init__(self, column, log: list[int]):
+        self.column, self.log = column, log
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+    def __getitem__(self, i):
+        got = self.column[i]
+        self.log.append(len(got) if isinstance(i, slice) else 1)
+        return got
+
+
+class TestAPrefixReadsAPrefix:
+    """LIMIT and ASK stop the join: the ids read from the index stay
+    bounded while the graph and its solution count grow.  Counted, not
+    timed."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch) -> list[int]:
+        log: list[int] = []
+        permutation = OrderedIndex.permutation
+
+        def counted(index, order):
+            return tuple(_Counted(column, log) for column in permutation(index, order))
+
+        monkeypatch.setattr(OrderedIndex, "permutation", counted)
+        return log
+
+    @pytest.mark.parametrize("size", [50, 5_000])
+    def test_cross_product_limit_1_and_ask(self, reads, size):
+        store = Store()
+        store.load_quads(
+            [Quad(Triple(iri(f"s{i}"), Iri(RDF_TYPE), iri(f"C{i % 7}")), G1) for i in range(size)]
+        )
+        store.triples().ordered()  # the index exists, as in a warm worker
+        cross = parse_query("SELECT * WHERE { ?a a ?t . ?b a ?u } LIMIT 1")
+        assert len(execute_select(store, cross).rows) == 1
+        assert sum(reads) <= 150
+        reads.clear()
+        assert execute_ask(store, parse_query("ASK { ?s a ?t }"))
+        assert sum(reads) <= 150
 
 
 class TestExecuteAskConstruct:
@@ -527,6 +645,12 @@ class TestHttp:
 
     def test_parse_error_400(self, served):
         assert get_error(served, sparql_url("SELECT * WHERE { BROKEN")) == 400
+
+    def test_an_offset_of_5000_digits_is_a_400_and_the_worker_stays_up(self, served, capfd):
+        query = "SELECT ?s WHERE { ?s ?p ?o } OFFSET " + "9" * 5_000
+        assert get_error(served, sparql_url(query)) == 400
+        assert get(served, "/stats")[0] == 200
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_missing_query_param_400(self, served):
         assert get_error(served, "/sparql") == 400

@@ -726,3 +726,45 @@ class TestNumbers:
             literals.add(triple.object)
         (literal,) = literals
         assert re.fullmatch(XSD_LEXICAL[literal.datatype.value], literal.lexical)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+class TestNonJsonConstants:
+    """RFC 8259 has no NaN or infinities: a record that holds one is a
+    malformed skip on every harvest, from either source."""
+
+    @staticmethod
+    def encode(body, constant) -> str:
+        return json.dumps(body).replace('"N"', constant)
+
+    @staticmethod
+    def with_constant() -> dict:
+        doc = envelope(1)
+        doc["metadata"]["molecularWeight"] = "N"
+        return doc
+
+    def test_parse_envelope_rejects_it(self, constant):
+        raw = self.encode(self.with_constant(), constant).encode()
+        with pytest.raises(ValueError, match=f"envelope is not JSON: {constant} is not a JSON number"):
+            parse_envelope(raw)
+
+    def test_a_directory_harvest_skips_it_every_run(self, tmp_path, constant):
+        source = tmp_path / "source"
+        write_corpus(source, [envelope(0), envelope(1), envelope(2)])
+        (source / "rec_001.json").write_text(self.encode(self.with_constant(), constant))
+        for _ in range(2):
+            h = directory_harvester(tmp_path, [])
+            ids = [r.source_id for r in h.records()]
+            assert ids == ["10.14272/KEY0000/Raman", "10.14272/KEY0002/Raman"]
+            assert h.stats.skipped_malformed == 1
+
+    def test_an_http_harvest_skips_it_every_run(self, tmp_path, http_source, constant):
+        server = http_source(
+            [envelope(0), self.with_constant(), envelope(2)],
+            encode=lambda body: self.encode(body, constant),
+        )
+        for _ in range(2):
+            h = http_harvester(tmp_path, server)
+            ids = [r.source_id for r in h.records()]
+            assert ids == ["10.14272/KEY0000/Raman", "10.14272/KEY0002/Raman"]
+            assert h.stats.skipped_malformed == 1

@@ -24,7 +24,7 @@ from kgforge import mapping, pipeline
 from kgforge.cli import main
 from kgforge.endpoint import EndpointServer
 from kgforge.harvest import RawCache
-from kgforge.jsonld import RawRecord
+from kgforge.jsonld import RawRecord, parse_payload
 from kgforge.mint import MintConfig
 from kgforge.pipeline import (
     ConfigError,
@@ -192,7 +192,7 @@ class TestConfig:
 
 class TestTransformRecord:
     def record(self, index: int) -> RawRecord:
-        doc = json.loads((FIXTURES / f"rec_{index:02d}.json").read_text())
+        doc = parse_payload((FIXTURES / f"rec_{index:02d}.json").read_text())
         return RawRecord(
             source_id=doc["id"],
             submission_date=date.fromisoformat(doc["submitted"]),

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgforge.endpoint import execute_select, parse_query
+from kgforge.endpoint import execute_ask, execute_select, parse_query
 from kgforge.rdf import RDF_TYPE, Graph, Iri, Literal, Quad, Triple, parse_ntriples
 from kgforge.store import CorruptManifest, Store, graph_filename
 from kgforge.validation import load_shapes, validate_shapes
@@ -299,9 +299,9 @@ class _Walked(frozenset):
 
 
 class TestLookupsUseTheIndex:
-    """Bound lookups read the views' maps: once the union view is built,
-    a bound-subject SELECT and the shape checks walk no triple set.
-    Counted, not timed."""
+    """Bound lookups read the views' indexes: once the union view and
+    its ordered index are built, SELECT, ASK and the shape checks walk
+    no triple set.  Counted, not timed."""
 
     @pytest.fixture
     def walks(self, monkeypatch) -> list[int]:
@@ -324,7 +324,14 @@ class TestLookupsUseTheIndex:
         walks.clear()
         return store
 
+    def test_the_ordered_index_is_built_by_one_walk(self, golden_store, walks):
+        execute_ask(golden_store, parse_query("ASK { ?s ?p ?o }"))
+        assert walks == [len(golden_store)]
+        execute_ask(golden_store, parse_query("ASK { ?s ?p ?o }"))
+        assert walks == [len(golden_store)]
+
     def test_bound_subject_select(self, golden_store, walks):
+        golden_store.triples().ordered()
         subject = next(iter(golden_store)).triple.subject
         walks.clear()  # iterating the store walks its graph
         query = parse_query(f"SELECT ?p ?o WHERE {{ <{subject.value}> ?p ?o }}")
@@ -339,9 +346,12 @@ class TestLookupsUseTheIndex:
         validate_shapes(graph, shapes)
         assert walks == []
 
-    def test_a_wildcard_pattern_is_seen(self, golden_store, walks):
-        execute_select(golden_store, parse_query("SELECT * WHERE { ?s ?p ?o }"))
-        assert walks == [len(golden_store)]
+    def test_a_wildcard_pattern_reads_a_permutation(self, golden_store, walks):
+        golden_store.triples().ordered()
+        walks.clear()
+        result = execute_select(golden_store, parse_query("SELECT * WHERE { ?s ?p ?o }"))
+        assert len(result.rows) == len(golden_store)
+        assert walks == []
 
 
 class TestStats:
