@@ -252,6 +252,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with store_lock(config.store_dir) if locked else contextlib.nullcontext():
             return _COMMANDS[args.command](config, **options)
+    except ConfigError as exc:  # a broken rule or shape file
+        print(f"kgforge: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (StageError, HarvestError, CacheCorruption) as exc:
         print(f"kgforge: error: {exc}", file=sys.stderr)
         return EXIT_STAGE_FAILURE

@@ -45,6 +45,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import signal
 import socket
 import sys
@@ -759,10 +760,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, "export paths look like /export/<year>/<month>")
             return
         year, month = int(parts[0]), int(parts[1])
-        suffix = f"/{year}/{month:02d}"
+        # Month graphs end in /Y/MM and day graphs in /Y/MM/DD.
+        partition = re.compile(rf"/{year}/{month:02d}(/[0-9]{{2}})?\Z")
         matching = sorted(
-            (g for g in snapshot.graphs() if g.value.endswith(suffix) or f"{suffix}/" in g.value),
-            key=lambda g: g.value,
+            (g for g in snapshot.graphs() if partition.search(g.value)), key=lambda g: g.value
         )
         if not matching:
             self._error(404, f"no partition for {year}-{month:02d}")

@@ -10,6 +10,7 @@ error instead of silently dropped triples.
 Blank nodes for anonymous objects are labeled by their JSON path from the
 record root (``b_creator_0`` for the first element under ``creator``), so
 converting the same record twice yields the same graph byte for byte.
+Distinct paths always get distinct labels, so two objects never merge.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .rdf import (
 )
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_LABEL_SAFE = re.compile(r"[^A-Za-z0-9_]")
 
 _NODE_KEYWORDS = {"@context", "@id", "@type"}
 _VALUE_KEYWORDS = {"@value", "@language", "@type"}
@@ -335,6 +335,15 @@ def _number(value: Decimal) -> Literal:
 
 
 def _path_label(path: tuple[str, ...]) -> str:
+    """``b_`` and the path's segments joined by ``_``: a segment of ASCII
+    letters and digits as it is, any other as ``_`` and the hex of its
+    UTF-8 bytes.  A label splits back into its path (an empty piece
+    marks an escaped one), so no two objects share a label.  The root is
+    ``b_root``, so a lone segment ``root`` is escaped too."""
     if not path:
         return "b_root"
-    return "b_" + "_".join(_LABEL_SAFE.sub("", p) or "x" for p in path)
+    plain = path != ("root",)
+    return "b_" + "_".join(
+        p if plain and p.isascii() and p.isalnum() else "_" + p.encode("utf-8").hex()
+        for p in path
+    )

@@ -56,8 +56,10 @@ from .jsonld import (
 )
 from .mapping import MappingRule, apply_rule, parse_rules, rule_pack_sources
 from .mint import MintConfig, mint_graph_iri, mint_resource_iri
-from .rdf import Graph, Iri, parse_nquads, serialize_nquads
-from .store import MANIFEST_NAME, Store, graph_filename
+# Staged files are read by ``read_nquads``; ``parse_nquads`` stays
+# importable here because perfbench/tracing.py patches it by name.
+from .rdf import Graph, Iri, parse_nquads, serialize_nquads  # noqa: F401
+from .store import MANIFEST_NAME, Store, graph_filename, read_nquads
 from .validation import (
     PatternRule,
     Shape,
@@ -279,13 +281,24 @@ def rule_sources(config: PipelineConfig) -> tuple[tuple[str, str], ...]:
     packaged pack, or the ``*.rq`` files in ``rules_dir``."""
     if config.rules_dir is None:
         return rule_pack_sources()
-    sources = tuple(
-        (path.name, path.read_text(encoding="utf-8"))
-        for path in sorted(config.rules_dir.glob("*.rq"))
-    )
+    sources = []
+    for path in sorted(config.rules_dir.glob("*.rq")):
+        with _config_file(path):
+            sources.append((path.name, path.read_text(encoding="utf-8")))
     if not sources:
         raise ConfigError(f"no .rq rules found in {config.rules_dir}")
-    return sources
+    return tuple(sources)
+
+
+def _parse_rules(
+    config: PipelineConfig, sources: Iterable[tuple[str, str]]
+) -> tuple[MappingRule, ...]:
+    """``parse_rules``, with a bad rule a ConfigError naming its file."""
+    rules: list[MappingRule] = []
+    for name, text in sources:
+        with _config_file(config.rules_dir / name if config.rules_dir else name):
+            rules += parse_rules([(name, text)])
+    return tuple(rules)
 
 
 def load_shape_files(
@@ -299,10 +312,25 @@ def load_shape_files(
     shapes: tuple[Shape, ...] = ()
     patterns: tuple[PatternRule, ...] = ()
     if shapes_path.exists():
-        shapes = parse_shapes(json.loads(shapes_path.read_text()), table)
+        with _config_file(shapes_path):
+            shapes = parse_shapes(json.loads(shapes_path.read_text(encoding="utf-8")), table)
     if patterns_path.exists():
-        patterns = parse_patterns(json.loads(patterns_path.read_text()), table)
+        with _config_file(patterns_path):
+            patterns = parse_patterns(json.loads(patterns_path.read_text(encoding="utf-8")), table)
     return shapes, patterns
+
+
+@contextmanager
+def _config_file(path: Path | str):
+    """Reading or parsing the rule or shape file ``path``: an unreadable
+    file, a decode or parse error, a missing key, a wrong JSON type or an
+    unknown vocabulary term is a ConfigError naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"bad configuration: {path}: missing key {exc}") from exc
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"bad configuration: {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +514,7 @@ def stage_transform(config: PipelineConfig) -> TransformResult:
             or meta.get("sha256") != _sha256_file(path)
         ):
             if rules is None:
-                rules, context = parse_rules(sources), load_default_context()
+                rules, context = _parse_rules(config, sources), load_default_context()
             triples, per_rule, records, dropped = _map_graph(
                 cache, entries, config.mint, rules, context
             )
@@ -563,7 +591,7 @@ def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
         if digest is not None and hashlib.sha256(data).hexdigest() == digest:
             continue
         try:
-            quads = parse_nquads(data.decode("utf-8"))
+            quads = read_nquads(data)
             if quads:
                 graph = quads[0].graph
                 if graph is None:

@@ -12,8 +12,9 @@ Two operations change the store.  ``load_quads`` is a set-union insert.
 stages each named graph whole, so a re-staged graph replaces its stored
 version and an edited record leaves no stale triple behind.  Graphs not
 named in a call are untouched; no operation drops a graph from the
-manifest.  Either operation records a load event in the manifest only
-for a graph whose content changed, so replaying a batch leaves no trace.
+manifest.  Both commit a graph through one step: only a graph whose
+content changed gets its new ``Graph`` and one load event, so replaying
+a batch leaves no trace.
 
 Persistence is one canonical N-Quads file per named graph under
 ``graphs/`` next to a ``manifest.json``.  Serialization is canonical, so
@@ -201,31 +202,19 @@ class Store:
     ) -> int:
         """Set-union insert; returns the number of genuinely new quads.
 
-        The whole batch is checked before the store changes.  A load
-        event is recorded in the manifest only for graphs that actually
-        received a new quad, so replaying a batch changes nothing,
-        including timestamps.
+        The whole batch is checked before the store changes, then each
+        graph it names is committed as its union with the batch.
         """
         batch: dict[Iri, list[Triple]] = {}
         for quad in quads:
             if quad.graph is None:
                 raise ValueError("store quads must carry a named graph")
             batch.setdefault(quad.graph, []).append(quad.triple)
-        stamp = (loaded_at or datetime.now(timezone.utc)).isoformat()
-        total = 0
-        for graph, triples in batch.items():
-            old = self.triples(graph)
-            new = old.union(triples)
-            inserted = len(new) - len(old)
-            if not inserted:
-                continue
-            self._put(graph, new)
-            entry = self._manifest.setdefault(graph, _GraphEntry(graph_filename(graph)))
-            entry.loads.append(
-                {"at": stamp, "inserted": inserted, "source_records": source_records}
-            )
-            total += inserted
-        return total
+        loaded_at = loaded_at or datetime.now(timezone.utc)
+        return sum(
+            self._commit(graph, self.triples(graph).union(triples), source_records, loaded_at)[0]
+            for graph, triples in batch.items()
+        )
 
     def replace_graph(
         self,
@@ -238,41 +227,43 @@ class Store:
         """Make ``graph`` hold exactly ``quads``; returns the numbers of
         quads (inserted, removed).
 
-        New quads go in through ``load_quads``.  The load event of a
-        changed graph gains a ``removed`` count when quads were removed;
-        a graph replaced by nothing keeps its manifest entry with no
+        A graph replaced by nothing keeps its manifest entry with no
         quads.
         """
-        quads = list(quads)
+        wanted = []
         for quad in quads:
             if quad.graph != graph:
                 raise ValueError(f"quad for graph {quad.graph} in a replacement of {graph}")
-        wanted = {q.triple for q in quads}
-        old = self.triples(graph)
-        kept = [t for t in old if t in wanted]
-        removed = len(old) - len(kept)
-        if removed:
-            self._put(graph, Graph(kept))
-        loaded_at = loaded_at or datetime.now(timezone.utc)
-        inserted = self.load_quads(quads, source_records=source_records, loaded_at=loaded_at)
-        if removed:
-            loads = self._manifest[graph].loads
-            if not inserted:
-                loads.append(
-                    {"at": loaded_at.isoformat(), "inserted": 0, "source_records": source_records}
-                )
-            loads[-1]["removed"] = removed
-        return inserted, removed
+            wanted.append(quad.triple)
+        return self._commit(
+            graph, Graph(wanted), source_records, loaded_at or datetime.now(timezone.utc)
+        )
 
-    def _put(self, graph: Iri, triples: Graph) -> None:
-        """Swap in the new content of a changed graph."""
-        if triples:
-            self._graphs[graph] = triples
+    def _commit(
+        self, graph: Iri, new: Graph, source_records: int, loaded_at: datetime
+    ) -> tuple[int, int]:
+        """Make ``new`` the content of ``graph``; returns the numbers of
+        quads (inserted, removed).  A change swaps ``new`` in and records
+        one load event, with ``removed`` only when nonzero; no change
+        leaves the graph, its views and its manifest entry as they were.
+        """
+        old = self.triples(graph)
+        kept = sum(1 for t in old if t in new)
+        inserted, removed = len(new) - kept, len(old) - kept
+        if not (inserted or removed):
+            return 0, 0
+        if new:
+            self._graphs[graph] = new
         else:
             del self._graphs[graph]
         self._union = None
         self._dirty.add(graph)
         self._certified.pop(graph, None)
+        event = dict(at=loaded_at.isoformat(), inserted=inserted, source_records=source_records)
+        if removed:
+            event["removed"] = removed
+        self._manifest.setdefault(graph, _GraphEntry(graph_filename(graph))).loads.append(event)
+        return inserted, removed
 
     # -- lookup ----------------------------------------------------------
 
@@ -447,11 +438,16 @@ def _read_graph_file(path: Path) -> tuple[list[Quad], str, _FileIdentity | None]
         data = f.read()
         st = os.fstat(f.fileno())
     identity = _file_identity(st) if st.st_size == len(data) else None
-    sha256 = hashlib.sha256(data).hexdigest()
+    return read_nquads(data), hashlib.sha256(data).hexdigest(), identity
+
+
+def read_nquads(data: bytes) -> list[Quad]:
+    """The quads of a stored or staged graph file: UTF-8, with CRLF and
+    CR ending lines as in a text-mode read.  Raises ValueError."""
     text = data.decode("utf-8")
-    if "\r" in text:  # as a text-mode read would: CRLF and CR end lines
+    if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return parse_nquads(text), sha256, identity
+    return parse_nquads(text)
 
 
 def graph_filename(graph: Iri) -> str:

@@ -486,6 +486,152 @@ class TestDamagedCache:
         assert {path.name: path.read_bytes() for path in staging.iterdir()} == before
 
 
+PACKAGED_RULES = Path(__file__).parent.parent / "src" / "kgforge" / "rules"
+
+
+def _point(project: Path, key: str) -> Path:
+    """Make directory ``key`` of the project and point the config's
+    ``key`` at it."""
+    directory = project / key.removesuffix("_dir")
+    directory.mkdir()
+    config = project / "kgforge.json"
+    doc = json.loads(config.read_text())
+    doc[key] = directory.name
+    config.write_text(json.dumps(doc))
+    return directory
+
+
+def _rule(data: bytes | None):
+    """A ``rules_dir`` of the packaged rules plus ``zz.rq`` holding
+    ``data``; an empty one for None."""
+    def damage(project: Path) -> None:
+        rules = _point(project, "rules_dir")
+        if data is not None:
+            for path in PACKAGED_RULES.glob("*.rq"):
+                shutil.copy(path, rules / path.name)
+            (rules / "zz.rq").write_bytes(data)
+
+    return damage
+
+
+def _shape(name: str, data: bytes | None):
+    """A ``shapes_dir`` whose ``name`` holds ``data``, or is a directory
+    for None."""
+    def damage(project: Path) -> None:
+        path = _point(project, "shapes_dir") / name
+        if data is None:
+            path.mkdir()
+        else:
+            path.write_bytes(data)
+
+    return damage
+
+
+_UNKNOWN_CLASS = {
+    "patterns": [
+        {
+            "name": "p",
+            "antecedent": [["?x", "a", "NoSuchClass"]],
+            "consequent": [["?x", "a", "NoSuchClass"]],
+            "focus": "?x",
+            "message": "m",
+        }
+    ]
+}
+
+#: Case -> (damage, command, damaged file, message).
+CONFIG_DAMAGE = {
+    "shapes-not-json": (
+        _shape("shapes.json", b"{not json"),
+        "validate",
+        "shapes/shapes.json",
+        "Expecting property name",
+    ),
+    "shapes-no-constraints": (
+        _shape("shapes.json", b'{"shapes": [{"name": "x"}]}'),
+        "validate",
+        "shapes/shapes.json",
+        "missing key 'constraints'",
+    ),
+    "shapes-not-utf8": (
+        _shape("shapes.json", b"\xff"),
+        "validate",
+        "shapes/shapes.json",
+        "can't decode byte 0xff",
+    ),
+    "shapes-unreadable": (
+        _shape("shapes.json", None),
+        "validate",
+        "shapes/shapes.json",
+        "Is a directory",
+    ),
+    "patterns-not-a-list": (
+        _shape("patterns.json", b'{"patterns": 5}'),
+        "validate",
+        "shapes/patterns.json",
+        "'int' object is not iterable",
+    ),
+    "patterns-unknown-class": (
+        _shape("patterns.json", json.dumps(_UNKNOWN_CLASS).encode()),
+        "validate",
+        "shapes/patterns.json",
+        "unknown vocabulary term: 'NoSuchClass'",
+    ),
+    "rule-syntax": (
+        _rule(b"CONSTRUCT { ?s ?p } WHERE { ?s ?p ?o }"),
+        "transform",
+        "rules/zz.rq",
+        "expected a term in object position",
+    ),
+    "rule-unknown-iri": (
+        _rule(b"CONSTRUCT { ?s <http://example.org/p> ?o } WHERE { ?s <http://example.org/p> ?o }"),
+        "transform",
+        "rules/zz.rq",
+        "missing from the vocabulary table",
+    ),
+    "rule-not-utf8": (
+        _rule(b"\xff"),
+        "transform",
+        "rules/zz.rq",
+        "can't decode byte 0xff",
+    ),
+    "rules-empty": (
+        _rule(None),
+        "transform",
+        "rules",
+        "no .rq rules found",
+    ),
+}
+
+
+class TestBrokenConfigFile:
+    @pytest.mark.parametrize("case", CONFIG_DAMAGE)
+    def test_exits_1_naming_the_file(self, loaded_project, tmp_path, capsys, case):
+        damage, command, name, message = CONFIG_DAMAGE[case]
+        project = tmp_path / "project"
+        shutil.copytree(loaded_project, project)
+        damage(project)
+        capsys.readouterr()
+        assert run_cli(project, command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kgforge: error: ")
+        assert f"{project / name}" in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["shapes-no-constraints", "rule-syntax"])
+    def test_run_exits_2_naming_the_file(self, loaded_project, tmp_path, capsys, case):
+        damage, command, name, message = CONFIG_DAMAGE[case]
+        project = tmp_path / "project"
+        shutil.copytree(loaded_project, project)
+        damage(project)
+        capsys.readouterr()
+        assert run_cli(project, "run") == 2
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["failed_stage"] == command
+        assert f"bad configuration: {project / name}: " in summary["error"]
+        assert message in summary["error"]
+
+
 class TestServe:
     @staticmethod
     def start_serving(project):

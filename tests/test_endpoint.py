@@ -21,6 +21,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,7 @@ from kgforge.endpoint import (
     parse_query,
 )
 from kgforge.mapping import TriplePattern, Variable, eval_bgp, plan
+from kgforge.mint import MintConfig, mint_graph_iri
 from kgforge.rdf import (
     RDF_TYPE,
     BlankNode,
@@ -939,6 +941,20 @@ class TestExport:
         assert expected == "".join(serialize_nquads(store.triples(g), g) for g in ordered).encode()
         with serving(store_dir) as server:
             assert get_twice(server, "/export/2014/05") == [expected, expected]
+
+    @pytest.mark.parametrize("granularity", ["month", "day"])
+    @pytest.mark.parametrize("base", [EX, "https://x.org/2014/05/"])
+    def test_only_that_months_graphs_are_exported(self, tmp_path, base, granularity):
+        # A base that itself looks like a month must not pull in the
+        # graphs of every other month minted under it.
+        mint = MintConfig(Iri(base), granularity)
+        graphs = [mint_graph_iri(mint, date(2014, month, 5)) for month in range(5, 11)]
+        store = Store()
+        store.load_quads(Quad(Triple(iri("d"), iri("p"), Literal(g.value)), g) for g in graphs)
+        store.persist(tmp_path / "store")
+        may = serialize_nquads(store.triples(graphs[0]), graphs[0]).encode()
+        with serving(tmp_path / "store") as server:
+            assert get_twice(server, "/export/2014/5") == [may, may]
 
     def test_a_body_short_of_its_length_closes_the_connection(self, served, monkeypatch):
         open_certified = Store.open_certified

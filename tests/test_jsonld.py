@@ -12,6 +12,7 @@ from kgforge.jsonld import (
     JsonLdContext,
     JsonLdError,
     RawRecord,
+    _path_label,
     load_default_context,
     parse_payload,
     relabel_blank_nodes,
@@ -109,6 +110,22 @@ class TestBlankNodes:
     def test_root_without_id(self):
         g = convert({"name": "anonymous"})
         assert {t.subject for t in g} == {BlankNode("b_root")}
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"a_0": {"n": "x"}, "a": [{"n": "y"}]},
+            {"x-y": {"n": "x"}, "xy": {"n": "y"}},
+            {"": {"n": "x"}, "x": {"n": "y"}},
+            {"root": {"n": "x"}, "n": "y"},
+        ],
+    )
+    def test_two_objects_never_share_a_label(self, payload):
+        g = to_rdf(record(payload), JsonLdContext(vocab="http://ex.org/"))
+        name = Iri("http://ex.org/n")
+        # Each object is one blank node with its own single name.
+        named = [t.subject for t in g if t.predicate == name]
+        assert len(named) == len(set(named)) == 2
 
     def test_explicit_blank_node_id(self):
         g = convert({"@id": "_:me", "name": "x"})
@@ -274,3 +291,19 @@ class TestDeterminism:
     def test_relabel_is_pure(self, payload, scope):
         g = to_rdf(record(payload), load_default_context())
         assert relabel_blank_nodes(g, scope) == relabel_blank_nodes(g, scope)
+
+
+_segments = st.one_of(
+    st.sampled_from(["root", "0", "a", "a_0", "_", ""]),
+    st.text(alphabet="a0_-é", max_size=4),
+)
+
+
+class TestPathLabels:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sets(st.lists(_segments, max_size=4).map(tuple), min_size=2, max_size=8))
+    def test_distinct_paths_get_distinct_labels(self, paths):
+        labels = {_path_label(path) for path in paths}
+        assert len(labels) == len(paths)
+        for label in labels:
+            BlankNode(label)  # a valid label

@@ -359,8 +359,8 @@ class TestStages:
         stage_transform(cfg)
         stage_load(cfg)
         parsed = []
-        parse = pipeline.parse_nquads
-        monkeypatch.setattr(pipeline, "parse_nquads", lambda text: parsed.append(text) or parse(text))
+        read = pipeline.read_nquads
+        monkeypatch.setattr(pipeline, "read_nquads", lambda data: parsed.append(data) or read(data))
         assert stage_load(cfg).inserted == 0
         assert parsed == []
         # A manifest persisted without digests: each staged file is

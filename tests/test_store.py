@@ -171,6 +171,11 @@ _triples = st.builds(
     st.sampled_from(oracle.OBJECTS),
 )
 _quad_sets = st.sets(st.builds(Quad, _triples, _graph_iris), max_size=60)
+#: A ``load_quads`` batch or a ``replace_graph`` of one graph.
+_store_calls = st.one_of(
+    st.tuples(st.just("load"), _quad_sets),
+    st.tuples(st.just("replace"), _graph_iris, st.sets(_triples, max_size=30)),
+)
 _opt = lambda pool: st.none() | st.sampled_from(pool)
 
 
@@ -685,6 +690,14 @@ class TestDigests:
         assert _read_certified(store, G_JUNE) is not None
 
 
+def loads_of(store: Store, graph: Iri) -> list[dict]:
+    """The graph's recorded load events; none for a graph never changed."""
+    try:
+        return store.graph_entry(graph).loads
+    except KeyError:
+        return []
+
+
 class TestIdempotenceProperty:
     @given(_quad_sets, _quad_sets)
     def test_reloading_any_batch_is_a_no_op(self, first, second):
@@ -697,3 +710,43 @@ class TestIdempotenceProperty:
         twice.load_quads(second, loaded_at=T2)
         assert once == twice
         assert once.stats() == twice.stats()
+
+    @settings(max_examples=60)
+    @given(st.lists(_store_calls, min_size=1, max_size=8))
+    def test_each_call_commits_the_set_differences(self, calls):
+        store, model = Store(), {g: set() for g in (G_MAY, G_JUNE, G_DAY)}
+        for n, call in enumerate(calls):
+            stamp = datetime(2025, 7, 1, n, tzinfo=timezone.utc)
+            wanted = {g: set(triples) for g, triples in model.items()}
+            if call[0] == "load":
+                for q in call[1]:
+                    wanted[q.graph].add(q.triple)
+            else:
+                wanted[call[1]] = set(call[2])
+            views = {g: store.triples(g) for g in store.graphs()}
+            events = {g: list(loads_of(store, g)) for g in model}
+            if call[0] == "load":
+                got = store.load_quads(call[1], source_records=n, loaded_at=stamp)
+            else:
+                quads = [Quad(t, call[1]) for t in call[2]]
+                got = store.replace_graph(call[1], quads, source_records=n, loaded_at=stamp)
+            changes = {}
+            for g in model:
+                inserted, removed = len(wanted[g] - model[g]), len(model[g] - wanted[g])
+                loads = loads_of(store, g)
+                if not (inserted or removed):  # no event, the same view
+                    assert loads == events[g]
+                    assert g not in views or store.triples(g) is views[g]
+                    continue
+                assert loads[:-1] == events[g]
+                event = {"at": stamp.isoformat(), "inserted": inserted, "source_records": n}
+                if removed:
+                    event["removed"] = removed
+                assert loads[-1] == event
+                changes[g] = inserted, removed
+            if call[0] == "load":
+                assert got == sum(inserted for inserted, _ in changes.values())
+            else:
+                assert got == changes.get(call[1], (0, 0))
+            model = wanted
+            assert set(store) == {Quad(t, g) for g, triples in model.items() for t in triples}
