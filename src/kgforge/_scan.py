@@ -24,11 +24,13 @@ _ECHAR = {
 }
 
 _PN_LOCAL_CHAR = re.compile(r"[A-Za-z0-9_\-]")
-_LANGTAG = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
+#: A language tag, as N-Triples, N-Quads and Turtle spell it; ``rdf.Literal``
+#: accepts only tags that match it whole.
+LANGTAG = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
 # Runs of characters that stand for themselves inside an IRIREF or a
 # quoted string; the readers consume each run in one match and handle
 # only the character that ends it (terminator, escape or illegal).
-_IRI_RUN = re.compile(r'[^> \t\n\r"{}|^`\\]*')
+_IRI_RUN = re.compile(r'[^>\x00-\x20"{}|^`\\]*')
 _STRING_RUN = re.compile(r'[^"\\\n\r]*')
 
 
@@ -175,8 +177,11 @@ class Scanner:
         digits = self.text[self.pos + 2 : self.pos + 2 + width]
         if len(digits) < width or any(d not in "0123456789abcdefABCDEF" for d in digits):
             raise self.error(f"malformed \\{kind} escape")
+        code = int(digits, 16)
+        if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:  # no UTF-8 form
+            raise self.error(f"\\{kind}{digits} is not a Unicode scalar value")
         self.pos += 2 + width
-        return chr(int(digits, 16))
+        return chr(code)
 
     def read_pname(self) -> tuple[str, str]:
         """Read ``prefix:local``; returns ``(prefix, local)``.
@@ -231,7 +236,7 @@ class Scanner:
 
     def read_langtag(self) -> str:
         self.expect("@")
-        m = _LANGTAG.match(self.text, self.pos)
+        m = LANGTAG.match(self.text, self.pos)
         if not m:
             raise self.error("malformed language tag")
         self.pos = m.end()

@@ -423,7 +423,9 @@ class Harvester:
                     body = json.loads(response.read(), parse_float=Decimal)
                 self.stats.pages_fetched += 1
                 return body
-            except (urllib.error.URLError, json.JSONDecodeError, OSError) as exc:
+            except (urllib.error.URLError, ValueError, RecursionError, OSError) as exc:
+                # ValueError or RecursionError: a body that is not UTF-8
+                # JSON, nests too deeply or holds an over-long integer.
                 last_error = str(exc)
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # an error response holds its socket open

@@ -10,7 +10,8 @@ error instead of silently dropped triples.
 Blank nodes for anonymous objects are labeled by their JSON path from the
 record root (``b_creator_0`` for the first element under ``creator``), so
 converting the same record twice yields the same graph byte for byte.
-Distinct paths always get distinct labels, so two objects never merge.
+Distinct paths always get distinct labels, and an explicit ``_:`` label
+never equals a path label, so two objects never merge.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .rdf import (
 )
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+# A \uD800-\uDFFF escape in JSON text, and a surrogate in a decoded string.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 _NODE_KEYWORDS = {"@context", "@id", "@type"}
 _VALUE_KEYWORDS = {"@value", "@language", "@type"}
@@ -118,7 +122,10 @@ class JsonLdContext:
     def expand_reference(self, value: str) -> Subject:
         """Expand an ``@id`` value; the vocabulary default does not apply."""
         if value.startswith("_:"):
-            return BlankNode(value[2:])
+            # Every path label starts with ``b_``; an explicit label that
+            # does, or that starts with ``e_``, is escaped with ``e_``.
+            label = value[2:]
+            return BlankNode("e_" + label if label.startswith(("b_", "e_")) else label)
         if ":" in value:
             prefix, rest = value.split(":", 1)
             if prefix in self.prefix_map:
@@ -150,9 +157,30 @@ def parse_payload(text: str) -> Any:
     """Parse record JSON, keeping decimal fractions exact.
 
     ``NaN``, ``Infinity`` and ``-Infinity``, which ``json.loads`` takes
-    by default but RFC 8259 does not allow, raise ValueError.
+    by default but RFC 8259 does not allow, raise ValueError.  So do a
+    ``\\uD800``-``\\uDFFF`` escape outside a surrogate pair, which
+    decodes to a string that cannot be written as UTF-8, and nesting
+    deeper than the interpreter's recursion limit.
     """
-    return json.loads(text, parse_float=Decimal, parse_constant=_reject_constant)
+    try:
+        doc = json.loads(text, parse_float=Decimal, parse_constant=_reject_constant)
+        if _SURROGATE_ESCAPE.search(text) and _holds_surrogate(doc):
+            raise ValueError("unpaired surrogate escape in a string")
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    return doc
+
+
+def _holds_surrogate(value: Any) -> bool:
+    """Whether a string in the decoded *value* holds a surrogate; a
+    paired escape has decoded to one character outside the BMP."""
+    if isinstance(value, str):
+        return _SURROGATE.search(value) is not None
+    if isinstance(value, dict):
+        return any(_holds_surrogate(k) or _holds_surrogate(v) for k, v in value.items())
+    if isinstance(value, list):
+        return any(map(_holds_surrogate, value))
+    return False
 
 
 def default_context_text() -> str:
@@ -174,15 +202,18 @@ def to_rdf(record: RawRecord, context: JsonLdContext) -> Graph:
     """Convert one record's payload to a graph of triples."""
     payload = record.payload
     triples: set[Triple] = set()
-    if isinstance(payload, list):
-        for i, node in enumerate(payload):
-            if not isinstance(node, dict):
-                raise JsonLdError("top-level array items must be JSON objects")
-            _convert_root(node, context, (str(i),), triples)
-    elif isinstance(payload, dict):
-        _convert_root(payload, context, (), triples)
-    else:
-        raise JsonLdError("payload must be a JSON object or an array of objects")
+    try:
+        if isinstance(payload, list):
+            for i, node in enumerate(payload):
+                if not isinstance(node, dict):
+                    raise JsonLdError("top-level array items must be JSON objects")
+                _convert_root(node, context, (str(i),), triples)
+        elif isinstance(payload, dict):
+            _convert_root(payload, context, (), triples)
+        else:
+            raise JsonLdError("payload must be a JSON object or an array of objects")
+    except RecursionError:
+        raise JsonLdError("payload nested too deeply") from None
     return Graph(triples)
 
 
@@ -290,8 +321,12 @@ def _value_object(value: dict, ctx: JsonLdContext) -> Literal:
             raise JsonLdError("@language and @type cannot both appear in a value object")
         if not isinstance(v, str):
             raise JsonLdError("@language requires a string @value")
+        if not isinstance(value["@language"], str):
+            raise JsonLdError("@language must be a string")
         return lang_literal(v, value["@language"])
     if "@type" in value:
+        if not isinstance(value["@type"], str):
+            raise JsonLdError("@type of a value object must be a string")
         lexical = v if isinstance(v, str) else _scalar(v).lexical
         return Literal(lexical, ctx.expand_term(value["@type"]))
     return _scalar(v)

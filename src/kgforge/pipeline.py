@@ -28,6 +28,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import time
@@ -110,49 +111,67 @@ class PipelineConfig:
     def report_path(self) -> Path:
         return self.store_dir / REPORT_NAME
 
-    def to_json_dict(self) -> dict:
-        return {
-            "source": {
-                "base_url": self.source.base_url,
-                "mode": self.source.mode,
-                "page_size": self.source.page_size,
-                "since": (
-                    self.source.since.isoformat() if self.source.since else None
-                ),
-                "rate_limit": self.source.rate_limit,
-                "max_retries": self.source.max_retries,
-            },
-            "mint": {
-                "base": self.mint.base.value,
-                "graph_granularity": self.mint.graph_granularity,
-            },
-            "store_dir": str(self.store_dir),
-            "cache_dir": str(self.cache_dir),
-            "staging_dir": str(self.staging_dir),
-            "rules_dir": str(self.rules_dir) if self.rules_dir else None,
-            "shapes_dir": str(self.shapes_dir) if self.shapes_dir else None,
-            "endpoint": {"host": self.host, "port": self.port},
-        }
 
-
-#: Environment overrides: variable -> (section, field, parser).
-_ENV_OVERRIDES = {
-    "KGFORGE_SOURCE_BASE_URL": ("source", "base_url", str),
-    "KGFORGE_SOURCE_MODE": ("source", "mode", str),
-    "KGFORGE_SOURCE_PAGE_SIZE": ("source", "page_size", int),
-    "KGFORGE_SOURCE_SINCE": ("source", "since", str),
-    "KGFORGE_SOURCE_RATE_LIMIT": ("source", "rate_limit", float),
-    "KGFORGE_SOURCE_MAX_RETRIES": ("source", "max_retries", int),
-    "KGFORGE_MINT_BASE": ("mint", "base", str),
-    "KGFORGE_MINT_GRAPH_GRANULARITY": ("mint", "graph_granularity", str),
-    "KGFORGE_STORE_DIR": (None, "store_dir", str),
-    "KGFORGE_CACHE_DIR": (None, "cache_dir", str),
-    "KGFORGE_STAGING_DIR": (None, "staging_dir", str),
-    "KGFORGE_RULES_DIR": (None, "rules_dir", str),
-    "KGFORGE_SHAPES_DIR": (None, "shapes_dir", str),
-    "KGFORGE_HOST": ("endpoint", "host", str),
-    "KGFORGE_PORT": ("endpoint", "port", int),
+#: Every configuration key -> (its ``KGFORGE_*`` variable, its JSON kind).
+_KEYS = {
+    "source.base_url": ("KGFORGE_SOURCE_BASE_URL", "string"),
+    "source.mode": ("KGFORGE_SOURCE_MODE", "string"),
+    "source.page_size": ("KGFORGE_SOURCE_PAGE_SIZE", "integer"),
+    "source.since": ("KGFORGE_SOURCE_SINCE", "date"),
+    "source.rate_limit": ("KGFORGE_SOURCE_RATE_LIMIT", "number"),
+    "source.max_retries": ("KGFORGE_SOURCE_MAX_RETRIES", "integer"),
+    "mint.base": ("KGFORGE_MINT_BASE", "iri"),
+    "mint.graph_granularity": ("KGFORGE_MINT_GRAPH_GRANULARITY", "string"),
+    "store_dir": ("KGFORGE_STORE_DIR", "path"),
+    "cache_dir": ("KGFORGE_CACHE_DIR", "path"),
+    "staging_dir": ("KGFORGE_STAGING_DIR", "path"),
+    "rules_dir": ("KGFORGE_RULES_DIR", "path"),
+    "shapes_dir": ("KGFORGE_SHAPES_DIR", "path"),
+    "endpoint.host": ("KGFORGE_HOST", "string"),
+    "endpoint.port": ("KGFORGE_PORT", "port"),
 }
+_SECTIONS = {name.partition(".")[0] for name in _KEYS if "." in name}
+
+#: What a value of each kind must be.  ``null`` stands for the default
+#: of a date or a path; a bool is neither an integer nor a number.
+_KINDS = {
+    "string": "a string",
+    "path": "a string",
+    "iri": "a string",
+    "date": "an ISO date string",
+    "integer": "an integer",
+    "number": "a finite number",
+    "port": "an integer from 0 to 65535",
+}
+
+
+def _field(name: str, kind: str, value: Any) -> Any:
+    """The config field a JSON *value* of *kind* sets; ValueError when
+    it is not one."""
+    if kind in ("integer", "port"):
+        ok = type(value) is int and (kind == "integer" or 0 <= value <= 65535)
+    elif kind == "number":
+        ok = type(value) is int or (type(value) is float and math.isfinite(value))
+    else:
+        ok = isinstance(value, str) or (value is None and kind in ("date", "path"))
+    if not ok:
+        raise ValueError(f"{name} must be {_KINDS[kind]}")
+    try:
+        if kind == "iri":
+            return Iri(value)
+        return date.fromisoformat(value) if kind == "date" and value is not None else value
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _env_value(kind: str, text: str) -> Any:
+    """The JSON value a ``KGFORGE_*`` text stands for; text that does
+    not parse as a number stays text, which its kind then rejects."""
+    parse = {"integer": int, "port": int, "number": float}.get(kind)
+    try:
+        return text if parse is None else parse(text)
+    except ValueError:
+        return text
 
 
 def load_config(
@@ -164,7 +183,7 @@ def load_config(
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -174,78 +193,53 @@ def load_config(
 def config_from_json_dict(
     doc: dict, *, base_dir: Path | str = ".", env: Mapping[str, str] | None = None
 ) -> PipelineConfig:
-    doc = _apply_env(doc, os.environ if env is None else env)
+    """Check *doc* and the ``KGFORGE_*`` variables of *env* against the
+    key table and build the config; a section that is not an object, an
+    unknown key or a value of the wrong kind is a ConfigError."""
+    env = os.environ if env is None else env
     base_dir = Path(base_dir)
-
-    def path_of(value: str | None, fallback: str | None = None) -> Path | None:
-        if value is None:
-            value = fallback
-        if value is None:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else (base_dir / p)
-
-    def section(name: str) -> dict:
-        value = doc.get(name) or {}
-        if not isinstance(value, dict):
-            raise TypeError(f"{name} must be a JSON object")
-        return dict(value)
-
     try:
-        source_doc = section("source")
-        since = source_doc.get("since")
-        if since is not None:
-            if not isinstance(since, str):
-                raise TypeError("source.since must be an ISO date string")
-            source_doc["since"] = date.fromisoformat(since)
-        source = SourceConfig(**source_doc)
-
-        mint_doc = section("mint")
-        if "base" not in mint_doc:
-            raise ConfigError("config is missing mint.base")
-        if not isinstance(mint_doc["base"], str):
-            raise TypeError("mint.base must be a string")
-        mint_doc["base"] = Iri(mint_doc["base"])
-        mint = MintConfig(**mint_doc)
-
-        endpoint = section("endpoint")
-        host = endpoint.get("host", "127.0.0.1")
-        if not isinstance(host, str):
-            raise TypeError("endpoint.host must be a string")
-        port = endpoint.get("port", 8416)
-        if type(port) is not int or not 0 <= port <= 65535:
-            raise TypeError("endpoint.port must be an integer from 0 to 65535")
+        given: dict[str, Any] = {}
+        for name, value in doc.items():
+            if name not in _SECTIONS:
+                given[name] = value
+            elif not isinstance(value, (dict, type(None))):
+                raise ValueError(f"{name} must be a JSON object")
+            else:  # a null section takes every default
+                given.update((f"{name}.{key}", v) for key, v in (value or {}).items())
+        for name in given:
+            if name not in _KEYS:
+                raise ValueError(f"unknown key {name}")
+        fields: dict[str, dict[str, Any]] = {}
+        for name, (variable, kind) in _KEYS.items():
+            if variable in env:
+                value = _field(variable, kind, _env_value(kind, env[variable]))
+            elif name in given:
+                value = _field(name, kind, given[name])
+            else:
+                continue
+            section, _, key = name.rpartition(".")
+            fields.setdefault(section, {})[key] = value
+        for name in ("source.base_url", "mint.base"):
+            section, _, key = name.partition(".")
+            if key not in fields.get(section, {}):
+                raise ConfigError(f"config is missing {name}")
+        # The top-level keys are the paths; ``/`` keeps an absolute one.
+        dirs = {key: base_dir / p for key, p in fields.get("", {}).items() if p is not None}
         return PipelineConfig(
-            source=source,
-            mint=mint,
-            store_dir=path_of(doc.get("store_dir"), "store"),
-            cache_dir=path_of(doc.get("cache_dir"), "cache"),
-            staging_dir=path_of(doc.get("staging_dir"), "staging"),
-            rules_dir=path_of(doc.get("rules_dir")),
-            shapes_dir=path_of(doc.get("shapes_dir")),
-            host=host,
-            port=port,
+            source=SourceConfig(**fields["source"]),
+            mint=MintConfig(**fields["mint"]),
+            store_dir=dirs.get("store_dir", base_dir / "store"),
+            cache_dir=dirs.get("cache_dir", base_dir / "cache"),
+            staging_dir=dirs.get("staging_dir", base_dir / "staging"),
+            rules_dir=dirs.get("rules_dir"),
+            shapes_dir=dirs.get("shapes_dir"),
+            **fields.get("endpoint", {}),
         )
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration: {exc}") from exc
-
-
-def _apply_env(doc: dict, env: Mapping[str, str]) -> dict:
-    doc = json.loads(json.dumps(doc))  # deep copy, JSON types only
-    for variable, (section, field, parse) in _ENV_OVERRIDES.items():
-        if variable not in env:
-            continue
-        try:
-            value = parse(env[variable])
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {variable}: {exc}") from exc
-        if section is None:
-            doc[field] = value
-        else:
-            doc.setdefault(section, {})[field] = value
-    return doc
 
 
 @contextmanager

@@ -30,7 +30,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._scan import ScanError, Scanner
+from ._scan import LANGTAG, ScanError, Scanner
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 XSD_STRING = XSD + "string"
@@ -42,8 +42,9 @@ RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = RDF_NS + "type"
 RDF_LANGSTRING = RDF_NS + "langString"
 
-# Characters that must be percent-encoded rather than appear raw in an IRI.
-_IRI_FORBIDDEN = set(' \t\n\r<>"{}|^`\\')
+# Characters that must be percent-encoded rather than appear raw in an IRI:
+# those the N-Quads IRIREF rule excludes, controls and space included.
+_IRI_FORBIDDEN = set(map(chr, range(0x21))) | set('<>"{}|^`\\')
 
 
 class ParseError(ScanError):
@@ -98,8 +99,9 @@ _RDF_LANGSTRING_IRI = Iri(RDF_LANGSTRING)
 class Literal:
     """A literal with its verbatim lexical form.
 
-    The language tag is non-empty exactly when the datatype is
-    ``rdf:langString``; no value-space normalization is applied.
+    The language tag is given exactly when the datatype is
+    ``rdf:langString``, and is one the N-Quads reader reads back; no
+    value-space normalization is applied.
     """
 
     lexical: str
@@ -108,8 +110,8 @@ class Literal:
 
     def __post_init__(self):
         if self.language is not None:
-            if not self.language:
-                raise ValueError("language tag must be non-empty")
+            if not LANGTAG.fullmatch(self.language):
+                raise ValueError(f"malformed language tag: {self.language!r}")
             if self.datatype.value != RDF_LANGSTRING:
                 raise ValueError("language-tagged literal must have rdf:langString datatype")
         elif self.datatype.value == RDF_LANGSTRING:

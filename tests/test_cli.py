@@ -97,6 +97,15 @@ class TestRun:
         assert "stats" not in summary["stages"]
 
 
+def _nested(depth: int) -> dict:
+    """An object ``depth`` levels deep, which JSON reads but the
+    JSON-LD converter cannot recurse into."""
+    value = {"name": "leaf"}
+    for _ in range(depth):
+        value = {"creator": value}
+    return value
+
+
 class TestStageCommands:
     def test_harvest_prints_count(self, project, capsys):
         assert run_cli(project, "harvest") == 0
@@ -145,6 +154,37 @@ class TestStageCommands:
                 assert run_cli(project, "harvest") == 0
             assert capsys.readouterr().out == "50\n"
             assert f"50 yielded, {hits} cache hits, 1 skipped" in caplog.text
+
+    @pytest.mark.parametrize(
+        "license, skipped_at",
+        [
+            ({"@value": "CC BY", "@language": "en US"}, "transform"),
+            ({"@value": "CC BY", "@type": 5}, "transform"),
+            ("CC \ud800 BY", "harvest"),
+            (_nested(600), "transform"),
+        ],
+        ids=["language-tag", "value-type", "lone-surrogate", "deep-nesting"],
+    )
+    def test_bad_record_is_a_counted_skip_and_the_rest_loads(
+        self, project, capsys, caplog, license, skipped_at
+    ):
+        source = project / "records"
+        shutil.copytree(FIXTURES, source)
+        bad = json.loads((FIXTURES / "rec_01.json").read_text())
+        bad["metadata"]["license"] = license
+        (source / "rec_01.json").write_text(json.dumps(bad))  # escapes the surrogate
+        point_source_at(project, str(source))
+        at_harvest = skipped_at == "harvest"
+        with caplog.at_level("INFO"):
+            assert run_cli(project, "harvest") == 0
+            assert run_cli(project, "transform") == 0
+            assert run_cli(project, "load") == 0
+        assert f"{50 - at_harvest} yielded, 0 cache hits, {int(at_harvest)} skipped" in caplog.text
+        assert f"in 6 graphs ({int(not at_harvest)} skipped)" in caplog.text
+        store = Store.load(project / "store")
+        assert len(store.graphs()) == 6
+        dropped = Iri(f"{BASE}resources/2014/06/10.14272/VRYFQVRFMNXTJS-UHFFFAOYSA-N/1H%20NMR")
+        assert not list(store.match(dropped))
 
     def test_load_prints_inserted(self, project, capsys):
         run_cli(project, "harvest")
@@ -241,9 +281,18 @@ def point_source_at(project: Path, base_url: str, **source) -> None:
 class _SourceHandler(http.server.BaseHTTPRequestHandler):
     """``/broken`` answers a page of an unknown shape, anything else 500."""
 
+    #: Page bodies by path: one of an unknown shape, then ones no JSON
+    #: decoder reads.
+    BODIES = {
+        "/broken": b'{"weird": true}',
+        "/deep": b"[" * 10**5 + b"]" * 10**5,
+        "/not-utf8": b'[{"id": "\xff"}]',
+        "/long-integer": b"[%s]" % (b"9" * 5000),
+    }
+
     def do_GET(self):
-        if self.path.startswith("/broken"):
-            body = b'{"weird": true}'
+        body = self.BODIES.get(self.path.split("?")[0])
+        if body is not None:
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -272,8 +321,11 @@ class TestHarvestFailures:
             ("missing", {"mode": "directory"}, "source directory does not exist"),
             ("/failing", {"mode": "http", "max_retries": 0}, "after 1 attempts: HTTP Error 500"),
             ("/broken", {"mode": "http"}, "unexpected page shape"),
+            ("/deep", {"mode": "http", "max_retries": 0}, "after 1 attempts: maximum recursion depth"),
+            ("/not-utf8", {"mode": "http", "max_retries": 0}, "after 1 attempts: 'utf-8' codec"),
+            ("/long-integer", {"mode": "http", "max_retries": 0}, "after 1 attempts: Exceeds the limit"),
         ],
-        ids=["missing-directory", "gives-up", "page-shape"],
+        ids=["missing-directory", "gives-up", "page-shape", "deep-page", "not-utf8-page", "long-integer-page"],
     )
     def test_exits_2_without_a_traceback(self, project, http_source, capsys, path, source, message):
         base_url = str(project / path) if source["mode"] == "directory" else http_source + path

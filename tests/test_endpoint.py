@@ -172,6 +172,9 @@ class TestParseQuery:
             ("PREFIX ex <http://example.org/> SELECT ?s WHERE { ?s ?p ?o }", "prefix"),
             ("SELECT ?s WHERE { GRAPH <g> { ?s ?p ?o } }", "not an absolute IRI"),
             ('SELECT ?s WHERE { ?s ?p "1"^^<int> }', "not an absolute IRI"),
+            # A result holding either could not be written as UTF-8.
+            ('CONSTRUCT { ?s ?p "\\uD800" } WHERE { ?s ?p ?o }', "not a Unicode scalar value"),
+            ('SELECT ?s WHERE { ?s ?p "\\U00110000" }', "not a Unicode scalar value"),
         ],
     )
     def test_rejections_name_the_problem(self, text, message):

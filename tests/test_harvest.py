@@ -159,6 +159,27 @@ class TestParseEnvelope:
         with pytest.raises(ValueError, match=message):
             parse_envelope(raw)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["CC \\ud800 BY", "\\uDFFF", "\\udc00\\ud800", "\\ud83d", "\\ud83dx\\ude00"],
+    )
+    def test_unpaired_surrogate_escape_rejected(self, text):
+        raw = json.dumps(envelope(7)).replace('"Record 7"', f'"{text}"').encode()
+        with pytest.raises(ValueError, match="unpaired surrogate"):
+            parse_envelope(raw)
+        key = json.dumps(envelope(7)).replace('"name"', f'"{text}"').encode()
+        with pytest.raises(ValueError, match="unpaired surrogate"):
+            parse_envelope(key)
+
+    def test_deep_nesting_rejected(self):
+        raw = json.dumps(envelope(7)).replace('"Record 7"', "[" * 10**5 + "]" * 10**5).encode()
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_envelope(raw)
+
+    def test_paired_surrogate_escape_decodes(self):
+        raw = json.dumps(envelope(7)).replace('"Record 7"', '"CC \\ud83d\\ude00 \\\\ud800"').encode()
+        assert parse_envelope(raw)[2]["name"] == "CC \U0001F600 \\ud800"
+
 
 class TestRawCache:
     def put_one(self, cache, i=1):

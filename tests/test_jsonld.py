@@ -131,6 +131,19 @@ class TestBlankNodes:
         g = convert({"@id": "_:me", "name": "x"})
         assert {t.subject for t in g} == {BlankNode("me")}
 
+    def test_explicit_label_never_takes_a_path_label(self):
+        payload = {
+            "@id": "http://x/d",
+            "creator": {"n": "anon"},
+            "publisher": {"@id": "_:b_creator", "n": "named"},
+            "funder": [{"@id": "_:e_b_creator", "n": "escaped"}, {"@id": "_:me", "n": "me"}],
+        }
+        g = to_rdf(record(payload), JsonLdContext(vocab="http://ex.org/"))
+        name = Iri("http://ex.org/n")
+        named = {t.subject: t.object for t in g if t.predicate == name}
+        assert len(named) == 4
+        assert named[BlankNode("me")] == Literal("me")
+
     def test_relabel_prevents_accidental_merge(self):
         g1 = convert({"creator": {"name": "Ada"}})
         g2 = convert({"creator": {"name": "Grace"}})
@@ -189,6 +202,24 @@ class TestLiterals:
     def test_language_needs_string_value(self):
         with pytest.raises(JsonLdError, match="@language"):
             convert({"@id": "http://x/d", "name": {"@value": 5, "@language": "en"}})
+
+    @pytest.mark.parametrize("key", ["@type", "@language"])
+    @pytest.mark.parametrize("bad", [5, None, True, ["en"], {"en": 1}], ids=repr)
+    def test_value_object_keyword_that_is_not_a_string_is_an_error(self, key, bad):
+        with pytest.raises(JsonLdError, match=key):
+            convert({"@id": "http://x/d", "license": {"@value": "CC BY", key: bad}})
+
+    def test_deep_nesting_is_an_error(self):
+        payload = {"name": "leaf"}
+        for _ in range(2000):
+            payload = {"creator": payload}
+        with pytest.raises(JsonLdError, match="nested too deeply"):
+            convert(payload)
+
+    @pytest.mark.parametrize("tag", ["en US", "", "en_US"])
+    def test_malformed_language_tag_is_an_error(self, tag):
+        with pytest.raises(ValueError, match="language tag"):
+            convert({"@id": "http://x/d", "license": {"@value": "CC BY", "@language": tag}})
 
 
 class TestRejections:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import re
 import shutil
 import tempfile
 import urllib.request
@@ -23,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from kgforge import mapping, pipeline
 from kgforge.cli import main
 from kgforge.endpoint import EndpointServer
-from kgforge.harvest import RawCache
+from kgforge.harvest import RawCache, parse_envelope
 from kgforge.jsonld import RawRecord, parse_payload
 from kgforge.mint import MintConfig
 from kgforge.pipeline import (
@@ -89,11 +91,6 @@ def snapshot_dir(directory: Path) -> dict[str, bytes]:
 
 
 class TestConfig:
-    def test_round_trips_through_json(self, tmp_path):
-        cfg = make_config(tmp_path)
-        again = config_from_json_dict(cfg.to_json_dict(), base_dir=tmp_path)
-        assert again == cfg
-
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         path = tmp_path / "conf" / "kgforge.json"
         path.parent.mkdir()
@@ -156,7 +153,7 @@ class TestConfig:
         [
             ("mint", "base", 5, "mint.base must be a string"),
             (None, "endpoint", "localhost:8416", "endpoint must be a JSON object"),
-            ("source", "base_url", 5, "base_url must be a non-empty string"),
+            ("source", "base_url", 5, "source.base_url must be a string"),
             ("source", "since", 20140601, "source.since must be an ISO date string"),
             (None, "endpoint", {"host": 5}, "endpoint.host must be a string"),
             (None, "endpoint", {"port": "8416x"}, "endpoint.port must be an integer from 0 to 65535"),
@@ -164,6 +161,14 @@ class TestConfig:
             (None, "endpoint", {"port": -1}, "endpoint.port must be an integer from 0 to 65535"),
             (None, "endpoint", {"port": True}, "endpoint.port must be an integer from 0 to 65535"),
             (None, "endpoint", {"port": 8416.0}, "endpoint.port must be an integer from 0 to 65535"),
+            ("source", "max_retries", 1.5, "source.max_retries must be an integer"),
+            ("source", "page_size", True, "source.page_size must be an integer"),
+            ("source", "rate_limit", "5", "source.rate_limit must be a finite number"),
+            (None, "store_dir", 5, "store_dir must be a string"),
+            (None, "stor_dir", "elsewhere", "unknown key stor_dir"),
+            (None, "endpoint", {"prot": 9000}, "unknown key endpoint.prot"),
+            (None, "sourse", {"base_url": "x"}, "unknown key sourse"),
+            ("source", "since", "", "source.since: Invalid isoformat string: ''"),
         ],
     )
     def test_wrong_json_type_rejected(self, tmp_path, capsys, section, key, value, message):
@@ -188,6 +193,100 @@ class TestConfig:
         array.write_text("[1]")
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(array, env={})
+        for text in (b'{"a": "\xff"}', b'{"a": %s}' % (b"9" * 5000), b"[" * 10**5 + b"]" * 10**5):
+            bad.write_bytes(text)
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                load_config(bad, env={})
+
+    def test_huge_integer_is_a_finite_number(self, tmp_path):
+        doc = config_doc(tmp_path)
+        doc["source"]["rate_limit"] = 10**400
+        assert config_from_json_dict(doc, env={}).source.rate_limit == 10**400
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    return text[start : text.index("\n## ", start + 1)]
+
+
+class TestReadme:
+    """The README documents the configuration key table as it is."""
+
+    def test_configuration_table_lists_every_key(self):
+        rows = re.findall(r"^\| `([a-z_.]+)` \|", readme_section("Configuration"), re.M)
+        assert sorted(rows) == sorted(pipeline._KEYS)
+
+    def test_environment_list_names_every_variable(self):
+        names = re.findall(r"`(KGFORGE_[A-Z_]+)`", readme_section("Configuration"))
+        assert sorted(names) == sorted(variable for variable, _ in pipeline._KEYS.values())
+
+    def test_quick_start_config_loads(self, tmp_path):
+        (block,) = re.findall(r"```json\n(.*?)```", readme_section("Quick start"), re.S)
+        path = tmp_path / "kgforge.json"
+        path.write_text(block)
+        cfg = load_config(path, env={})
+        assert cfg.store_dir == tmp_path / "data" / "store"
+        assert (cfg.host, cfg.port) == ("127.0.0.1", 8416)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_SECTIONS = ["", "source", "mint", "endpoint"]  # "" is the top level
+# Each config key and section, and random keys anywhere.
+_places = st.one_of(
+    st.sampled_from(list(pipeline._KEYS)).map(lambda name: name.rpartition(".")[::2]),
+    st.sampled_from([("", s) for s in _SECTIONS[1:]]),
+    st.tuples(st.sampled_from(_SECTIONS), st.text(max_size=8)),
+)
+
+
+@st.composite
+def _config_docs(draw):
+    doc = config_doc(Path("work"))
+    for section, key in draw(st.lists(_places, max_size=4)):
+        target = doc.get(section) if section else doc
+        if not isinstance(target, dict):
+            target = doc[section] = {}
+        target[key] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _config_docs(),
+    st.dictionaries(st.sampled_from([v for v, _ in pipeline._KEYS.values()]), st.text(max_size=8), max_size=2),
+)
+def test_any_config_loads_or_is_a_config_error(doc, env):
+    try:
+        cfg = config_from_json_dict(doc, base_dir="base", env=env)
+    except ConfigError:
+        return
+    source = cfg.source
+    assert {type(cfg.port), type(source.page_size), type(source.max_retries)} == {int}
+    assert type(source.rate_limit) in (int, float) and math.isfinite(source.rate_limit)
+
+
+_payload_keys = st.one_of(
+    st.sampled_from(["@id", "@type", "@value", "@language", "@context", "@vocab", "name", "creator", "license"]),
+    st.text(max_size=6),
+)
+_payload_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["_:b_creator", "_:me", "http://x/y", "en", "en US", "xsd:date", "Dataset", "CC \ud800"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_payload_keys, inner, max_size=4),
+    max_leaves=10,
+)
 
 
 class TestTransformRecord:
@@ -276,6 +375,19 @@ class TestTransformRecord:
         )
         with pytest.raises(JsonLdError, match="@type"):
             transform_record(record, self.mint(), load_rule_pack())
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(_payload_keys, _payload_values, max_size=4))
+    def test_any_payload_in_a_fixture_record_maps_or_is_a_skip_error(self, extra):
+        from kgforge.mapping import load_rule_pack
+
+        envelope = json.loads((FIXTURES / "rec_00.json").read_text())
+        envelope["metadata"].update(extra)
+        try:  # a ValueError from either step is a counted skip
+            fields = parse_envelope(json.dumps(envelope).encode())
+            transform_record(RawRecord(*fields, datetime(2024, 1, 1)), self.mint(), load_rule_pack())
+        except ValueError:
+            pass
 
 
 class TestStages:

@@ -2,7 +2,7 @@ import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kgforge.rdf import (
@@ -22,7 +22,9 @@ from kgforge.rdf import (
     serialize_nquads,
     serialize_ntriples,
     term_sort_key,
+    triple_sort_key,
 )
+from kgforge.store import read_nquads
 
 from . import oracle
 from .strategies import graph_iris, graphs, quads, terms
@@ -44,7 +46,10 @@ class TestTerms:
         with pytest.raises(ValueError):
             Iri("http://x/a b")
 
-    @pytest.mark.parametrize("bad", ["http://x/<", "http://x/{y}", "http://x/a\\b"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["http://x/<", "http://x/{y}", "http://x/a\\b", "http://x/a\x00b", "http://x/a\x01b", "http://x/\x1f"],
+    )
     def test_forbidden_iri_characters(self, bad):
         with pytest.raises(ValueError):
             Iri(bad)
@@ -55,6 +60,11 @@ class TestTerms:
     def test_language_requires_langstring(self):
         with pytest.raises(ValueError):
             Literal("x", Iri(XSD_STRING), "en")
+
+    @pytest.mark.parametrize("tag", ["", "en US", "en_US", "-en", "en-", "1en", "en--US", "é"])
+    def test_language_tag_outside_the_reader_grammar_rejected(self, tag):
+        with pytest.raises(ValueError, match="language tag"):
+            lang_literal("x", tag)
 
     def test_langstring_requires_language(self):
         with pytest.raises(ValueError):
@@ -230,6 +240,62 @@ class TestNQuads:
     @settings(max_examples=60)
     def test_round_trip(self, qs):
         assert set(parse_nquads(serialize_nquads(qs))) == set(qs)
+
+
+# ---------------------------------------------------------------------------
+# Any term the constructors accept
+# ---------------------------------------------------------------------------
+
+
+def _or(build, fallback):
+    """*build* that gives *fallback* for arguments its checks reject."""
+
+    def make(*args):
+        try:
+            return build(*args)
+        except ValueError:
+            return fallback
+
+    return make
+
+
+# Arbitrary text, plus text shaped like each term.  Hypothesis draws no
+# lone surrogate: it has no UTF-8 form, and the record decoder and the
+# escape reader reject it.
+_text = st.text(max_size=12)
+_tags = st.one_of(
+    _text,
+    st.text(alphabet="aZz09- _", max_size=8),
+    st.from_regex(r"[a-z]{1,3}(-[a-zA-Z0-9]{1,3})*", fullmatch=True),
+)
+_any_iris = st.builds(
+    _or(Iri, Iri("http://x/")),
+    st.one_of(_text, st.builds(str.__add__, st.sampled_from(["http://x/", "urn:", "a+b.c-d:"]), _text)),
+)
+_any_bnodes = st.builds(_or(BlankNode, BlankNode("b")), _text)
+_any_literals = st.one_of(
+    st.builds(Literal, _text),
+    st.builds(_or(Literal, Literal("")), _text, _any_iris),
+    st.builds(_or(lang_literal, Literal("")), _text, _tags),
+)
+
+
+@given(
+    st.lists(
+        st.builds(
+            Triple,
+            st.one_of(_any_iris, _any_bnodes),
+            _any_iris,
+            st.one_of(_any_iris, _any_bnodes, _any_literals),
+        ),
+        max_size=12,
+    ),
+    _any_iris,
+)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+def test_any_accepted_terms_round_trip_through_nquads(triples, graph):
+    data = serialize_nquads(set(triples), graph).encode("utf-8")
+    assert read_nquads(data) == [Quad(t, graph) for t in sorted(set(triples), key=triple_sort_key)]
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ TERMS = {
     "bad-u-escape-string": (r'"caf\u00e"', False),
     "unknown-string-escape": (r'"a\qb"', False),
     "newline-in-string": ('"abc\ndef"', False),
+    "control-in-iri": ("<http://ex.org/a\x01b>", False),
+    "surrogate-escape": (r'"a\uD800b"', False),
+    "out-of-range-escape": (r'"\U00110000"', False),
 }
 
 # Lexer errors inside an IRI reach the caller as raised: the term
@@ -102,6 +105,18 @@ PINS = [
     ("newline-in-string", "turtle", "unterminated string literal (line 2, column 15)", 2, 15),
     ("newline-in-string", "rule", "unterminated string literal (line 2, column 34)", 2, 34),
     ("newline-in-string", "query", "unterminated string literal (line 2, column 34)", 2, 34),
+    ("control-in-iri", "nquads", "illegal character '\\x01' in IRI (line 2, column 53)", 2, 53),
+    ("control-in-iri", "turtle", "illegal character '\\x01' in IRI (line 2, column 27)", 2, 27),
+    ("control-in-iri", "rule", "illegal character '\\x01' in IRI (line 2, column 46)", 2, 46),
+    ("control-in-iri", "query", "illegal character '\\x01' in IRI (line 2, column 46)", 2, 46),
+    ("surrogate-escape", "nquads", "\\uD800 is not a Unicode scalar value (line 2, column 39)", 2, 39),
+    ("surrogate-escape", "turtle", "\\uD800 is not a Unicode scalar value (line 2, column 13)", 2, 13),
+    ("surrogate-escape", "rule", "\\uD800 is not a Unicode scalar value (line 2, column 32)", 2, 32),
+    ("surrogate-escape", "query", "\\uD800 is not a Unicode scalar value (line 2, column 32)", 2, 32),
+    ("out-of-range-escape", "nquads", "\\U00110000 is not a Unicode scalar value (line 2, column 38)", 2, 38),
+    ("out-of-range-escape", "turtle", "\\U00110000 is not a Unicode scalar value (line 2, column 12)", 2, 12),
+    ("out-of-range-escape", "rule", "\\U00110000 is not a Unicode scalar value (line 2, column 31)", 2, 31),
+    ("out-of-range-escape", "query", "\\U00110000 is not a Unicode scalar value (line 2, column 31)", 2, 31),
 ]
 
 
