@@ -8,7 +8,9 @@ rejected at parse time with a message naming the feature.  SELECT and
 ASK are planned at parse time for the ordered join, which yields rows in
 the documented order, so a SELECT reads only its first ``OFFSET +
 LIMIT`` solutions and an ASK its first; CONSTRUCT runs through the
-mapping engine's ``apply_rule``.
+mapping engine's ``apply_rule``.  A SELECT body is written from the
+join's id rows, each distinct term's JSON text once, byte for byte what
+``json.dumps(..., indent=2)`` writes.
 
 The HTTP server serves an immutable snapshot of the store.  ``refresh``
 loads a new snapshot from disk, indexes its union graph, computes its
@@ -52,6 +54,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import BinaryIO, NoReturn
 from urllib.parse import parse_qs, urlparse
@@ -60,6 +63,7 @@ from ._scan import ScanError, Scanner
 from .mapping import (
     MappingRule,
     OrderedPlan,
+    OrderedSolutions,
     TriplePattern,
     Variable,
     apply_rule,
@@ -302,8 +306,15 @@ def _read_count(sc: Scanner, clause: str) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SelectResult:
+    """The projected variables and the join's rows from ``OFFSET`` on."""
+
     variables: tuple[str, ...]
-    rows: tuple[dict, ...]
+    solutions: OrderedSolutions
+
+    @property
+    def rows(self) -> tuple[dict[str, Term], ...]:
+        """Each row as the terms of the projected variables it binds."""
+        return tuple(self.solutions.dicts(self.variables))
 
     def to_json_dict(self) -> dict:
         return {
@@ -331,6 +342,63 @@ def _term_json(term: Term) -> dict:
     return doc
 
 
+def _binding_text(term: Term) -> str:
+    """``_term_json(term)`` as ``json.dumps(..., indent=2)`` writes it at
+    its depth in a SELECT body, a binding of a row of ``bindings``."""
+    extra = ""
+    if isinstance(term, Iri):
+        kind, value = "uri", term.value
+    elif isinstance(term, BlankNode):
+        kind, value = "bnode", term.label
+    else:
+        kind, value = "literal", term.lexical
+        if term.language is not None:
+            extra = ',\n          "xml:lang": ' + _encode(term.language)
+        elif term.datatype.value != XSD_STRING:
+            extra = ',\n          "datatype": ' + _encode(term.datatype.value)
+    return f'{{\n          "type": "{kind}",\n          "value": {_encode(value)}{extra}\n        }}'
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of already written *items* as ``json.dumps(..., indent=2)``
+    writes it at the depth of ``vars`` and ``bindings``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n    ]"
+
+
+def select_body(result: SelectResult) -> bytes:
+    """The SPARQL-JSON body of *result*, written from its id rows; byte
+    for byte ``json.dumps(result.to_json_dict(), indent=2) + "\n"``.
+
+    A binding object always sits at the same depth, so its text depends
+    on its term alone and is written once per distinct term of the body.
+    """
+    solutions = result.solutions
+    columns = [
+        (f"\n        {_encode(name)}: ", k) for name, k in solutions.positions(result.variables)
+    ]
+    if columns and solutions.rows:
+        terms = solutions.index.terms
+        texts = {
+            i: _binding_text(terms[i]) for i in {row[k] for _, k in columns for row in solutions.rows}
+        }
+        rows = [
+            "      {" + ",".join([key + texts[row[k]] for key, k in columns]) + "\n      }"
+            for row in solutions.rows
+        ]
+    else:
+        rows = ["      {}"] * len(solutions.rows)
+    head = _json_list([f"      {_encode(name)}" for name in result.variables])
+    return (
+        '{\n  "head": {\n    "vars": '
+        + head
+        + '\n  },\n  "results": {\n    "bindings": '
+        + _json_list(rows)
+        + "\n  }\n}\n"
+    ).encode()
+
+
 def execute_select(store: Store, query: SelectQuery) -> SelectResult:
     """The query's rows: its solutions in the documented order, from
     ``OFFSET`` on, at most ``LIMIT`` of them.
@@ -342,17 +410,17 @@ def execute_select(store: Store, query: SelectQuery) -> SelectResult:
     first ``OFFSET + LIMIT``.
     """
     count = None if query.limit is None else query.offset + query.limit
-    solutions = eval_bgp(store.triples(query.graph), query.plan, limit=count)[query.offset :]
-    if not set(query.plan.variables).issubset(query.variables):
-        solutions = [
-            {name: sol[name] for name in query.variables if name in sol} for sol in solutions
-        ]
-    return SelectResult(variables=query.variables, rows=tuple(solutions))
+    solutions = eval_bgp(store.triples(query.graph), query.plan, limit=count)
+    if query.offset:
+        solutions = OrderedSolutions(
+            solutions.variables, solutions.rows[query.offset :], solutions.index
+        )
+    return SelectResult(variables=query.variables, solutions=solutions)
 
 
 def execute_ask(store: Store, query: AskQuery) -> bool:
     """Whether the pattern has a solution; the join stops at the first."""
-    return bool(eval_bgp(store.triples(query.graph), query.plan, limit=1))
+    return bool(eval_bgp(store.triples(query.graph), query.plan, limit=1).rows)
 
 
 def execute_construct(store: Store, query: ConstructQuery) -> Graph:
@@ -366,6 +434,10 @@ def execute_construct(store: Store, query: ConstructQuery) -> Graph:
 
 def _json_body(doc: dict) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+#: The body of each ASK answer.
+_ASK_BODIES = {answer: _json_body({"head": {}, "boolean": answer}) for answer in (False, True)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -638,9 +710,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _json(self, doc: dict, status: int = 200, content_type: str = "application/json") -> None:
-        self._reply(status, content_type, _json_body(doc))
-
     def _error(self, status: int, message: str, *, close: bool = False) -> None:
         self._reply(status, "text/plain; charset=utf-8", (message + "\n").encode(), close=close)
 
@@ -748,11 +817,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(406, f"can only produce {SPARQL_JSON}")
             return
         if isinstance(query, SelectQuery):
-            result = execute_select(snapshot, query)
-            self._json(result.to_json_dict(), content_type=SPARQL_JSON)
+            body = select_body(execute_select(snapshot, query))
         else:
-            answer = execute_ask(snapshot, query)
-            self._json({"head": {}, "boolean": answer}, content_type=SPARQL_JSON)
+            body = _ASK_BODIES[execute_ask(snapshot, query)]
+        self._reply(200, SPARQL_JSON, body)
 
     def _export(self, snapshot: Store, path: str) -> None:
         parts = path.removeprefix("/export/").split("/")

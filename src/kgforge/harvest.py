@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 
 from ._atomic import write_atomic
 from .jsonld import RawRecord, parse_payload
@@ -119,7 +119,7 @@ class RawCache:
         if self.index_path.exists():
             try:
                 self._index = json.loads(self.index_path.read_text(encoding="utf-8"))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise CacheCorruption(f"{self.index_path} is not JSON: {exc}") from None
             if not isinstance(self._index, dict):
                 raise CacheCorruption(f"{self.index_path} is not a JSON object")
@@ -286,14 +286,16 @@ class Harvester:
     def records(self) -> Iterator[RawRecord]:
         """Yield each source record exactly once, in source order.
 
-        Each record's id is appended to the checkpoint journal before it
-        is yielded, so a consumer that stops early can resume without
-        re-yielding; full consumption removes the checkpoint.  The cache
-        index is written once per ``page_size`` new entries and when the
-        run ends, however it ends.
+        Each record's id is appended to the checkpoint journal, and
+        flushed, before it is yielded, so a consumer that stops early can
+        resume without re-yielding; full consumption removes the
+        checkpoint.  The journal is opened once, at the first append, and
+        closed when the run ends.  The cache index is written once per
+        ``page_size`` new entries and when the run ends, however it ends.
         """
         done = self._load_checkpoint()
         directory = self.config.mode == "directory"
+        journal: BinaryIO | None = None
         try:
             for raw in self._directory_envelopes() if directory else self._http_envelopes():
                 try:
@@ -323,10 +325,17 @@ class Harvester:
                     self.stats.resumed_past += 1
                     continue
                 done.add(source_id)
-                self._append_checkpoint(source_id)
+                if self.checkpoint_path is not None:
+                    if journal is None:
+                        self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
+                        journal = self.checkpoint_path.open("ab")
+                    journal.write(json.dumps(source_id).encode("ascii") + b"\n")
+                    journal.flush()
                 self.stats.yielded += 1
                 yield RawRecord(source_id, submitted, metadata, fetched_at)
         finally:
+            if journal is not None:
+                journal.close()
             self.cache.flush()
         if self.checkpoint_path is not None:
             self.checkpoint_path.unlink(missing_ok=True)
@@ -353,20 +362,13 @@ class Harvester:
                 if not isinstance(source_id, str):
                     raise TypeError(f"line {line[:40]!r} is not a JSON string")
                 done.add(source_id)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             logger.warning("corrupt checkpoint %s (%s); starting over", path, exc)
             path.unlink()
             return set()
         if torn:
             os.truncate(path, cut)
         return done
-
-    def _append_checkpoint(self, source_id: str) -> None:
-        if self.checkpoint_path is None:
-            return
-        self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-        with self.checkpoint_path.open("ab") as journal:
-            journal.write(json.dumps(source_id).encode("ascii") + b"\n")
 
     # -- sources -----------------------------------------------------------
 

@@ -22,7 +22,8 @@ The endpoint's SELECT and ASK use the ordered join instead
 (``ordered_plan``, ``ordered_join``): it binds one variable at a time,
 in the order the endpoint sorts rows by, over sorted id permutations of
 the graph's ordered index, so it yields solutions in that order and can
-stop after a prefix.  ``eval_bgp`` runs either plan.
+stop after a prefix.  Its solutions stay rows of term ids until a caller
+reads them as terms.  ``eval_bgp`` runs either plan.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .rdf import (
     Graph,
     Iri,
     Literal,
+    OrderedIndex,
     Term,
     Triple,
     read_iri_or_pname,
@@ -450,14 +452,15 @@ def plan_from(bound: Iterable[str], patterns: Iterable[TriplePattern]) -> tuple[
 
 def eval_bgp(
     graph: Graph, plan: Iterable[Step] | OrderedPlan, *, limit: int | None = None
-) -> list[dict[str, Term]]:
+) -> list[dict[str, Term]] | OrderedSolutions:
     """The solutions over *graph* of the basic graph pattern *plan*.
 
     Natural-join semantics: the empty pattern has exactly one empty
     solution, and no solution repeats.  A plan from ``plan`` gives every
     solution, in no particular order, by the hash join of ``extend``.
     An ``OrderedPlan`` gives the first *limit* solutions (all of them
-    when it is None) in the plan's variable order, by ``ordered_join``.
+    when it is None) in the plan's variable order, as the id rows of
+    ``ordered_join``.
     """
     if isinstance(plan, OrderedPlan):
         return ordered_join(graph, plan, limit)
@@ -521,6 +524,28 @@ class OrderedPlan(NamedTuple):
     tails: tuple[tuple[int, int] | None, ...]
 
 
+@dataclass(frozen=True, slots=True)
+class OrderedSolutions:
+    """The solutions of an ordered join, in order, as rows of term ids."""
+
+    #: The variable of each id in a row: the plan's binding order.
+    variables: tuple[str, ...]
+    rows: list[tuple[int, ...]]
+    #: The index whose ``terms`` the ids point into; None when no row
+    #: holds an id.
+    index: OrderedIndex | None
+
+    def positions(self, names: Iterable[str]) -> list[tuple[str, int]]:
+        """Each of *names* that the rows bind, with its place in a row."""
+        return [(name, self.variables.index(name)) for name in names if name in self.variables]
+
+    def dicts(self, names: Iterable[str]) -> list[dict[str, Term]]:
+        """Each solution as the terms of those of *names* it binds."""
+        positions = self.positions(names)
+        terms = self.index.terms if self.index is not None else ()
+        return [{name: terms[row[k]] for name, k in positions} for row in self.rows]
+
+
 def ordered_plan(
     patterns: Iterable[TriplePattern], order_by: str | None = None
 ) -> OrderedPlan:
@@ -571,7 +596,7 @@ def ordered_plan(
 
 def ordered_join(
     graph: Graph, plan: OrderedPlan, limit: int | None = None
-) -> list[dict[str, Term]]:
+) -> OrderedSolutions:
     """The first *limit* solutions of *plan* over *graph* (all of them
     when *limit* is None), sorted by the plan's variables in turn.
 
@@ -583,10 +608,11 @@ def ordered_join(
     and the join stops at the *limit*-th.  A constant that the graph
     lacks, or an empty range, is an empty answer.
     """
+    empty = OrderedSolutions(plan.variables, [], None)
     if limit == 0 or not all(t in graph for t in plan.ground):
-        return []
+        return empty
     if not plan.variables:
-        return [{}]
+        return OrderedSolutions((), [()], None)
     index = graph.ordered()
     ids = index.ids
     columns, lo, hi = [], [], []
@@ -596,11 +622,11 @@ def ordered_join(
         for col, term in zip(cols, constants):
             i = ids.get(term)
             if i is None:
-                return []
+                return empty
             a = bisect_left(col, i, a, b)
             b = bisect_right(col, i, a, b)
         if a == b:
-            return []
+            return empty
         columns.append(cols)
         lo.append(a)
         hi.append(b)
@@ -672,8 +698,7 @@ def ordered_join(
         return found
 
     solve(0)
-    names, terms = plan.variables, index.terms
-    return [dict(zip(names, map(terms.__getitem__, row))) for row in out]
+    return OrderedSolutions(plan.variables, out, index)
 
 
 def eval_expression(e: Expression, binding: BindingSet):

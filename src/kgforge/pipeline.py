@@ -428,7 +428,7 @@ def _read_staging_summary(staging_dir: Path) -> dict[str, dict]:
     try:
         doc = json.loads((staging_dir / STAGING_SUMMARY_NAME).read_text(encoding="utf-8"))
         graphs = doc["graphs"]
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, RecursionError, KeyError, TypeError):
         return {}
     if not isinstance(graphs, dict):
         return {}

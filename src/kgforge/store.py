@@ -366,10 +366,12 @@ class Store:
         manifest_path = directory / MANIFEST_NAME
         if not manifest_path.exists():
             return store
+        # Not UTF-8 or not JSON is a ValueError, nested deeper than the
+        # decoder recurses a RecursionError.
         try:
             doc = json.loads(manifest_path.read_text(encoding="utf-8"))
             graph_entries = doc["graphs"]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise CorruptManifest(f"unreadable manifest: {exc}") from exc
         for graph_value in sorted(graph_entries):
             entry_doc = graph_entries[graph_value]

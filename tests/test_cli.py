@@ -97,6 +97,10 @@ class TestRun:
         assert "stats" not in summary["stages"]
 
 
+#: A JSON array nested deeper than the decoder recurses.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def _nested(depth: int) -> dict:
     """An object ``depth`` levels deep, which JSON reads but the
     JSON-LD converter cannot recurse into."""
@@ -356,6 +360,12 @@ def _miscount(project: Path) -> None:
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _deep_manifest(project: Path) -> None:
+    """``graphs`` nested deeper than the JSON decoder recurses."""
+    path = project / "store" / "manifest.json"
+    path.write_text('{"graphs": ' + DEEP_JSON + "}", encoding="utf-8")
+
+
 def _edit(project: Path) -> None:
     """Other canonical content in 2014-05.nq, with the quad count the
     manifest says: what a crash between two renames of a load leaves."""
@@ -371,6 +381,7 @@ DAMAGE = {
     "syntax": (_append("graphs/2014-05.nq", b"<a> <b> .\n"), "not an absolute IRI: 'a'"),
     "miscount": (_miscount, "manifest says"),
     "edited": (_edit, "2014-05.nq does not match its sha256"),
+    "deep": (_deep_manifest, "unreadable manifest"),
 }
 
 
@@ -404,6 +415,7 @@ class TestDamagedStore:
             ("syntax", "load"),
             ("miscount", "stats"),
             ("edited", "stats"),
+            ("deep", "stats"),
         ],
         indirect=["damaged"],
     )
@@ -479,6 +491,7 @@ CACHE_DAMAGE = {
     "index-truncated": (_truncate_index, "index.json is not JSON"),
     "index-list": (_write_index("[]"), "index.json is not a JSON object"),
     "index-string": (_write_index('"entries"'), "index.json is not a JSON object"),
+    "index-deep": (_write_index(DEEP_JSON), "index.json is not JSON"),
     "no-submitted": (_drop_key("submitted"), "KeyError('submitted')"),
     "no-digest": (_drop_key("digest"), "KeyError('digest')"),
     "no-file": (_drop_key("file"), "KeyError('file')"),

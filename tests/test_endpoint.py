@@ -12,6 +12,7 @@ import contextlib
 import http.client
 import json
 import os
+import random
 import shutil
 import signal
 import socket
@@ -54,12 +55,13 @@ from kgforge.rdf import (
     parse_nquads,
     parse_ntriples,
     serialize_nquads,
+    serialize_ntriples,
     term_sort_key,
     triple_sort_key,
 )
 from kgforge.store import Store, graph_filename
 
-from . import oracle
+from . import oracle, strategies
 
 EX = "http://example.org/"
 XSD_INT = Iri("http://www.w3.org/2001/XMLSchema#integer")
@@ -855,6 +857,110 @@ class TestHttp:
             assert exc.code == 400
         else:
             raise AssertionError("update must be rejected")
+
+
+# ---------------------------------------------------------------------------
+# SPARQL-JSON bodies: written from id rows, byte for byte json.dumps's
+# ---------------------------------------------------------------------------
+
+
+def dumps_body(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def swapped(term, swap: dict):
+    return term if isinstance(term, Variable) else swap.get(term, term)
+
+
+#: Terms whose JSON text needs escapes: control, quote and backslash,
+#: non-ASCII and astral characters, in each kind of term.
+ODD_TERMS = (
+    Iri("http://example.org/café/\U0001f600"),
+    BlankNode("bé0"),
+    Literal("\x00\x1f\t\n\"\\ é   \U0001d11e \x7f"),
+    lang_literal("grüße \U0001f600", "de-CH"),
+    Literal("12é", Iri(f"{EX}type/é")),
+    Literal("1", XSD_INT),
+)
+
+
+class TestSelectBody:
+    """The endpoint writes a SELECT body from the join's id rows; it is
+    the body ``json.dumps(result.to_json_dict(), indent=2)`` writes."""
+
+    @given(st.integers(0, 2**32).map(random.Random), st.data())
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    def test_the_written_body_is_the_json_dumps_body(self, rng, data):
+        shape = oracle.random_graph(rng, 60)
+        # A pattern with solutions, so that most examples write rows.
+        for _ in range(10):
+            bgp = oracle.random_bgp(rng, 3)
+            if oracle.product_cost(shape, bgp) <= 20_000 and oracle.eval_bgp_bruteforce(shape, bgp):
+                break
+        else:
+            assume(False)
+        # Each pool term of the oracle becomes a drawn one: the graph
+        # keeps the oracle's join shapes and holds any term.
+        subjects = st.one_of(strategies.subjects, st.sampled_from(ODD_TERMS[:2]))
+        objects = st.one_of(strategies.terms, st.sampled_from(ODD_TERMS))
+        swap = {t: data.draw(subjects) for t in oracle.SUBJECTS}
+        swap.update({t: data.draw(objects) for t in oracle.OBJECTS if t not in swap})
+        store = Store()
+        store.load_quads(
+            [Quad(Triple(swap[t.subject], t.predicate, swap[t.object]), G1) for t in shape]
+        )
+        where = tuple(
+            TriplePattern(*(swapped(term, swap) for term in p.terms())) for p in bgp
+        )
+        names = sorted(set().union(*(p.variables() for p in bgp)))
+        query = SelectQuery(
+            variables=tuple(rng.sample([*names, "unbound"], rng.randint(1, len(names) + 1))),
+            where=where,
+            order_by=rng.choice([None, *names]),
+            limit=rng.choice([None, 0, 1, 3, 10]),
+            offset=rng.randrange(3),
+        )
+        result = execute_select(store, query)
+        assert endpoint.select_body(result) == dumps_body(result.to_json_dict())
+
+    def test_odd_terms_over_http(self, tmp_path):
+        store = Store()
+        store.load_quads(
+            [Quad(Triple(ODD_TERMS[k % 2], iri(f"p{k}"), o), G1) for k, o in enumerate(ODD_TERMS)]
+        )
+        store.persist(tmp_path / "store")
+        query = "SELECT ?o ?sé WHERE { ?sé ?p ?o } ORDER BY ?o"
+        with serving(tmp_path / "store") as server:
+            _, _, body = get(server, sparql_url(query))
+        result = execute_select(store, parse_query(query))
+        assert len(result.rows) == len(ODD_TERMS)
+        assert body == dumps_body(result.to_json_dict())
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT ?s WHERE { ?s ?p ?o } LIMIT 0",
+            "SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s OFFSET 100000",
+            "SELECT ?s ?nothing WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 3 OFFSET 2",
+            "SELECT ?nothing WHERE { ?s ?p ?o } LIMIT 2",
+            "SELECT * WHERE { GROUND }",
+            "SELECT * WHERE { GRAPH <http://example.org/graphs/2014/05> { GROUND } }",
+        ],
+        ids=["limit-0", "offset-past-end", "projected-unbound", "only-unbound", "ground", "ground-in-graph"],
+    )
+    def test_edge_cases_over_http(self, served, query):
+        store = Store.load(served.store_dir)
+        ground = min(store.triples(), key=triple_sort_key)
+        query = query.replace("GROUND", serialize_ntriples(Graph([ground])).removesuffix(" .\n"))
+        status, ctype, body = get(served, sparql_url(query))
+        assert (status, ctype) == (200, "application/sparql-results+json")
+        assert body == dumps_body(execute_select(store, parse_query(query)).to_json_dict())
+
+    @pytest.mark.parametrize("answer", [True, False])
+    def test_ask_over_http(self, served, answer):
+        pattern = "?s ?p ?o" if answer else f"?s <{EX}absent> ?o"
+        _, _, body = get(served, sparql_url(f"ASK {{ {pattern} }}"))
+        assert body == dumps_body({"head": {}, "boolean": answer})
 
 
 # ---------------------------------------------------------------------------

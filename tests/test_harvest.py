@@ -421,7 +421,14 @@ class TestCheckpoint:
         assert len(ids) == 5
         assert "corrupt checkpoint" in caplog.text
 
-    @pytest.mark.parametrize("body", ['{"wrong": []}', '{"yielded": 3}'])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"wrong": []}',
+            '{"yielded": 3}',
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+        ],
+    )
     def test_wrong_shape_checkpoint_also_restarts(self, tmp_path, body, caplog):
         # A complete journal line that is JSON but not a string.
         envelopes = [envelope(i) for i in range(3)]

@@ -15,6 +15,7 @@ import os
 import re
 import shutil
 import tempfile
+import urllib.parse
 import urllib.request
 from datetime import date, datetime
 from pathlib import Path
@@ -455,6 +456,25 @@ class TestStages:
         assert graphs[f"{BASE}graphs/2014/05"]["source_records"] == 1
         assert sum(meta["source_records"] for meta in graphs.values()) == 50
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[" * 100_000 + "]" * 100_000, '{"graphs": []}'],
+        ids=["not-json", "nested-too-deep", "graphs-list"],
+    )
+    def test_an_unreadable_summary_counts_as_none(self, tmp_path, mapped_records, text):
+        cfg = make_config(tmp_path)
+        stage_harvest(cfg)
+        stage_transform(cfg)
+        staged = {p.name: p.read_bytes() for p in cfg.staging_dir.iterdir()}
+        summary = cfg.staging_dir / "summary.json"
+        summary.write_text(text, encoding="utf-8")
+        # Load parses every staged file, since no digest certifies one.
+        assert stage_load(cfg).inserted == 1471
+        mapped_records.clear()
+        stage_transform(cfg)
+        assert len(mapped_records) == 50
+        assert {p.name: p.read_bytes() for p in cfg.staging_dir.iterdir()} == staged
+
     def test_reload_inserts_nothing(self, tmp_path):
         cfg = make_config(tmp_path)
         stage_harvest(cfg)
@@ -651,6 +671,68 @@ class TestByteContract:
         finally:
             server.stop()
         assert body == (cfg.store_dir / "graphs" / "2014-05.nq").read_bytes()
+
+    def test_endpoint_bodies_match_their_digests(self, tmp_path):
+        """The raw body of each request in ``ENDPOINT_REQUESTS`` is pinned
+        by its SHA-256 in ``goldens/endpoint_bodies.sha256``."""
+        cfg = make_config(tmp_path)
+        stage_harvest(cfg)
+        stage_transform(cfg)
+        stage_load(cfg)
+        assert endpoint_body_digests(cfg.store_dir) == (
+            GOLDENS / "endpoint_bodies.sha256"
+        ).read_text(encoding="utf-8")
+
+
+NFDI = "https://nfdi.fiz-karlsruhe.de/ontology/"
+G_JUNE = f"<{BASE}graphs/2014/06>"
+
+#: Label and query of each request whose body the golden pins.
+ENDPOINT_REQUESTS = {
+    "select-type": f"SELECT ?d WHERE {{ ?d a <{NFDI}NFDI_0000009> }}",
+    "select-order-limit": (
+        f"SELECT ?label ?s WHERE {{ ?s <{NFDI}NFDI_0000216> ?label }} ORDER BY ?label LIMIT 7"
+    ),
+    "select-order-offset": (
+        f"SELECT ?s WHERE {{ ?s a ?t }} ORDER BY ?t LIMIT 5 OFFSET 12"
+    ),
+    "select-offset-past-end": f"SELECT ?s WHERE {{ ?s a <{NFDI}NFDI_0000009> }} OFFSET 1000",
+    "select-limit-0": "SELECT ?s WHERE { ?s ?p ?o } LIMIT 0",
+    "select-graph-star": (
+        f"SELECT * WHERE {{ GRAPH {G_JUNE} {{ ?s ?p ?o }} }} ORDER BY ?p LIMIT 20 OFFSET 3"
+    ),
+    "select-join-projected": (
+        f"SELECT ?t ?s WHERE {{ ?s a ?t . ?s <{NFDI}NFDI_0000216> ?label }} ORDER BY ?t"
+    ),
+    "select-unbound": f"SELECT ?s ?missing WHERE {{ ?s <{NFDI}NFDI_0000216> ?l }} LIMIT 3",
+    "select-no-match": f"SELECT ?s WHERE {{ ?s a <{NFDI}Nothing> }}",
+    "ask-true": f"ASK {{ GRAPH {G_JUNE} {{ ?s a <{NFDI}NFDI_0000009> }} }}",
+    "ask-false": f"ASK {{ ?s a <{NFDI}Nothing> }}",
+    "construct": (
+        f"CONSTRUCT {{ ?s <{BASE}label> ?l }} WHERE {{ ?s <{NFDI}NFDI_0000216> ?l }}"
+    ),
+    "construct-graph": (
+        f"CONSTRUCT {{ ?s a ?t }} WHERE {{ GRAPH {G_JUNE} {{ ?s a ?t }} }}"
+    ),
+}
+
+
+def endpoint_body_digests(store_dir: Path) -> str:
+    """``sha256sum``-style lines of the raw HTTP body of each request in
+    ``ENDPOINT_REQUESTS``, from a live server over *store_dir*."""
+    server = EndpointServer(store_dir, "127.0.0.1", 0)
+    server.refresh()
+    server.start()
+    lines = []
+    try:
+        for label, query in ENDPOINT_REQUESTS.items():
+            url = f"{server.url}/sparql?" + urllib.parse.urlencode({"query": query})
+            with urllib.request.urlopen(url, timeout=10) as response:
+                body = response.read()
+            lines.append(f"{hashlib.sha256(body).hexdigest()}  {label}\n")
+    finally:
+        server.stop()
+    return "".join(lines)
 
 
 class TestStoreLock:
