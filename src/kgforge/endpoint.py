@@ -4,16 +4,17 @@ The query language is the same subset the mapping engine evaluates: a
 basic graph pattern, optionally scoped to one named graph, under a
 SELECT, ASK, or CONSTRUCT head.  SELECT adds ORDER BY on a variable plus
 LIMIT and OFFSET; everything else named in the SPARQL grammar is
-rejected at parse time with a message naming the feature.  SELECT and
-ASK are planned at parse time for the ordered join, which yields rows in
+rejected at parse time with a message naming the feature.  Every form
+is planned at parse time for the ordered join, so every query reads the
+graph's ordered index and none its hash maps.  The join yields rows in
 the documented order, so a SELECT reads only its first ``OFFSET +
-LIMIT`` solutions and an ASK its first; CONSTRUCT runs through the
-mapping engine's ``apply_rule``.  A SELECT body is written from the
-join's id rows, each distinct term's JSON text once, byte for byte what
-``json.dumps(..., indent=2)`` writes.
+LIMIT`` solutions and an ASK its first; CONSTRUCT instantiates its
+template over all of them through the mapping engine's ``apply_rule``.
+A SELECT body is written from the join's id rows, each distinct term's
+JSON text once, byte for byte what ``json.dumps(..., indent=2)`` writes.
 
 The HTTP server serves an immutable snapshot of the store.  ``refresh``
-loads a new snapshot from disk, indexes its union graph, computes its
+loads a new snapshot from disk, builds its union graph, computes its
 ``/stats`` document and only then swaps it in atomically, so requests
 see either the old corpus or the new one, never a mixture, and none
 waits for that set-up; requests that arrive before the first snapshot
@@ -97,6 +98,9 @@ MAX_BODY_BYTES = 1 << 20
 #: including the wait for the next request on a keep-alive connection.
 HEADER_TIMEOUT_S = 30.0
 
+#: An export path: year and month as ASCII digits, few enough for int().
+_EXPORT_PATH = re.compile(r"/export/([0-9]{1,9})/([0-9]{1,9})")
+
 #: Signals that stop a server; a worker takes their default action.
 _STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 #: Seconds between the serve loop's wakes: the longest ``stop`` waits
@@ -145,6 +149,7 @@ class AskQuery:
 
 @dataclass(frozen=True, slots=True)
 class ConstructQuery:
+    #: The template and the WHERE pattern, planned for the ordered join.
     rule: MappingRule
     graph: Iri | None = None
 
@@ -248,6 +253,7 @@ def _parse_construct(
             template=tuple(template),
             where=where,
             binds=(),
+            plan=ordered_plan(where),
         )
     except ValueError as exc:
         raise sc.error(str(exc)) from None
@@ -424,6 +430,7 @@ def execute_ask(store: Store, query: AskQuery) -> bool:
 
 
 def execute_construct(store: Store, query: ConstructQuery) -> Graph:
+    """The template's triples over every solution of the ordered join."""
     return apply_rule(store.triples(query.graph), query.rule)
 
 
@@ -506,7 +513,7 @@ class EndpointServer:
         return f"http://{host}:{port}"
 
     def refresh(self) -> None:
-        """Load the persisted store, build its union view and its
+        """Load the persisted store, build its union graph and its
         statistics, and swap it in atomically; while serving, fork a
         worker generation from it and retire the previous one."""
         store = Store.load(self.store_dir)
@@ -823,11 +830,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(200, SPARQL_JSON, body)
 
     def _export(self, snapshot: Store, path: str) -> None:
-        parts = path.removeprefix("/export/").split("/")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        numbers = _EXPORT_PATH.fullmatch(path)
+        if numbers is None:
             self._error(404, "export paths look like /export/<year>/<month>")
             return
-        year, month = int(parts[0]), int(parts[1])
+        year, month = int(numbers[1]), int(numbers[2])
         # Month graphs end in /Y/MM and day graphs in /Y/MM/DD.
         partition = re.compile(rf"/{year}/{month:02d}(/[0-9]{{2}})?\Z")
         matching = sorted(

@@ -18,12 +18,15 @@ joined (already bound: they go into the lookup key), which are new (stored
 without a check) and which repeat within the pattern (the only equality
 the join compares itself).  Rules and validation use this hash join.
 
-The endpoint's SELECT and ASK use the ordered join instead
-(``ordered_plan``, ``ordered_join``): it binds one variable at a time,
-in the order the endpoint sorts rows by, over sorted id permutations of
-the graph's ordered index, so it yields solutions in that order and can
-stop after a prefix.  Its solutions stay rows of term ids until a caller
-reads them as terms.  ``eval_bgp`` runs either plan.
+The endpoint's queries use the ordered join instead (``ordered_plan``,
+``ordered_join``): it binds one variable at a time, in the order the
+endpoint sorts rows by, over sorted id permutations of the graph's
+ordered index, so it yields solutions in that order and can stop after
+a prefix.  Its solutions stay rows of term ids until a caller reads
+them as terms.  ``eval_bgp`` runs either plan, and ``apply_rule`` takes
+the solutions of either: a rule joins by the plan it was built with,
+``plan(where)`` unless its caller picks an ``OrderedPlan``, as the
+endpoint's CONSTRUCT does.
 """
 
 from __future__ import annotations
@@ -144,11 +147,13 @@ class MappingRule:
     template: tuple[TriplePattern, ...]
     where: tuple[TriplePattern, ...]
     binds: tuple[BindClause, ...]
-    #: The WHERE pattern's join order, computed once here.
-    plan: tuple[Step, ...] = field(init=False, compare=False)
+    #: The WHERE pattern's join, planned once: ``plan(where)`` for the
+    #: hash join unless the caller passes a plan of the same pattern.
+    plan: tuple[Step, ...] | OrderedPlan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "plan", plan(self.where))
+        if self.plan is None:
+            object.__setattr__(self, "plan", plan(self.where))
         where_vars = set()
         for p in self.where:
             where_vars |= p.variables()
@@ -535,6 +540,11 @@ class OrderedSolutions:
     #: holds an id.
     index: OrderedIndex | None
 
+    def __iter__(self) -> Iterator[dict[str, Term]]:
+        """Each solution as a binding of all its variables, as the hash
+        join yields it."""
+        return iter(self.dicts(self.variables))
+
     def positions(self, names: Iterable[str]) -> list[tuple[str, int]]:
         """Each of *names* that the rows bind, with its place in a row."""
         return [(name, self.variables.index(name)) for name in names if name in self.variables]
@@ -739,7 +749,8 @@ def eval_expression(e: Expression, binding: BindingSet):
 
 
 def apply_rule(graph: Graph, rule: MappingRule) -> Graph:
-    """Instantiate the rule's template over every WHERE solution."""
+    """Instantiate the rule's template over every WHERE solution, as
+    the join of the rule's plan finds them."""
     out: set[Triple] = set()
     for solution in eval_bgp(graph, rule.plan):
         for bind in rule.binds:

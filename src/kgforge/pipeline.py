@@ -422,9 +422,33 @@ def _mapping_inputs(config: PipelineConfig, sources: Iterable[tuple[str, str]]):
     return digest
 
 
+def _is_count(value) -> bool:
+    """A count as ``stage_transform`` writes one: an int (not a bool),
+    not negative."""
+    return type(value) is int and value >= 0
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+#: Each field of a staging summary entry, with the check of the type
+#: ``stage_transform`` writes it with.
+_SUMMARY_FIELDS = {
+    "file": _is_str,
+    "fingerprint": _is_str,
+    "sha256": _is_str,
+    "quads": _is_count,
+    "skipped": _is_count,
+    "source_records": _is_count,
+    "per_rule": lambda v: isinstance(v, dict) and all(map(_is_count, v.values())),
+}
+
+
 def _read_staging_summary(staging_dir: Path) -> dict[str, dict]:
-    """Graph IRI -> summary entry of the last transform; an unreadable
-    summary counts as none."""
+    """Graph IRI -> summary entry of the last transform.  An unreadable
+    summary counts as none, and an entry that lacks a field or holds one
+    of another type than transform writes counts as absent."""
     try:
         doc = json.loads((staging_dir / STAGING_SUMMARY_NAME).read_text(encoding="utf-8"))
         graphs = doc["graphs"]
@@ -432,7 +456,12 @@ def _read_staging_summary(staging_dir: Path) -> dict[str, dict]:
         return {}
     if not isinstance(graphs, dict):
         return {}
-    return {g: meta for g, meta in graphs.items() if isinstance(meta, dict)}
+    return {
+        g: meta
+        for g, meta in graphs.items()
+        if isinstance(meta, dict)
+        and all(name in meta and ok(meta[name]) for name, ok in _SUMMARY_FIELDS.items())
+    }
 
 
 def _sha256_file(path: Path) -> str | None:
@@ -570,7 +599,7 @@ def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
     if not config.staging_dir.is_dir():
         raise StageError(f"nothing staged under {config.staging_dir}; run transform")
     records_per_graph = {
-        g: meta.get("source_records", 0)
+        g: meta["source_records"]
         for g, meta in _read_staging_summary(config.staging_dir).items()
     }
     if fresh and config.store_dir.exists():

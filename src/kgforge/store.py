@@ -3,8 +3,9 @@
 The store is a set of named graphs, as an RDF 1.1 dataset is: each
 graph is one immutable ``Graph`` that indexes itself on its first bound
 lookup.  A load that changes a graph swaps in a new ``Graph``, so no
-index can go stale.  ``triples()`` is the union of all graphs, built
-and indexed on first use and kept until a graph changes.
+index can go stale.  ``triples()`` is the union of all graphs, built on
+first use and kept until a graph changes; like any ``Graph``, it builds
+an index only when a caller first looks something up in it.
 
 Two operations change the store.  ``load_quads`` is a set-union insert.
 ``replace_graph`` makes a graph hold exactly the given quads, like
@@ -178,17 +179,16 @@ class Store:
         """Triples of one graph, or of the union of all graphs.
 
         A named graph is the stored ``Graph`` itself.  The union is
-        built and indexed on first use and the same object is returned
-        until a load changes a graph.  Building is idempotent, so
-        threads reading one store may race on it.
+        built on first use, without an index, and the same object is
+        returned until a load changes a graph; its first lookup builds
+        the index that lookup reads.  Building is idempotent, so threads
+        reading one store may race on it.
         """
         if graph is not None:
             return self._graphs.get(graph) or Graph()
         union = self._union
         if union is None:
-            union = Graph(itertools.chain.from_iterable(self._graphs.values()))
-            union._index()
-            self._union = union
+            union = self._union = Graph(itertools.chain.from_iterable(self._graphs.values()))
         return union
 
     # -- ingestion -----------------------------------------------------

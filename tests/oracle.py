@@ -73,6 +73,20 @@ def eval_bgp_bruteforce(graph, patterns):
     return solutions
 
 
+def construct_bruteforce(graph, where, template):
+    """The CONSTRUCT answer: each template triple over each solution,
+    less the triples with a literal subject or a predicate that is not
+    an IRI."""
+    out = set()
+    for solution in eval_bgp_bruteforce(graph, where):
+        binding = dict(solution)
+        for pattern in template:
+            s, p, o = (binding[t.name] if isinstance(t, Variable) else t for t in pattern.terms())
+            if not isinstance(s, Literal) and isinstance(p, Iri):
+                out.add(Triple(s, p, o))
+    return Graph(out)
+
+
 # ---------------------------------------------------------------------------
 # Random case generation (seeded, for the oracle comparison runs)
 # ---------------------------------------------------------------------------
@@ -110,3 +124,31 @@ def random_bgp(rng: random.Random, max_patterns: int = 4) -> list[TriplePattern]
         TriplePattern(term(SUBJECTS), term(PREDICATES), term(OBJECTS))
         for _ in range(rng.randint(1, max_patterns))
     ]
+
+
+#: The share of ``random_case`` draws whose pattern is redrawn until it
+#: has a solution; the others keep their first draw, often empty.
+SOLVED_SHARE = 0.75
+#: The largest brute-force product a case may cost.
+MAX_COST = 20_000
+
+
+def random_case(rng: random.Random, max_triples: int, max_patterns: int):
+    """A random graph and a random BGP over it that brute force can
+    join, or None when ten draws of the BGP cost too much.
+
+    In ``SOLVED_SHARE`` of the calls the BGP is redrawn, up to ten
+    times, until it has a solution, so that most cases compare answers
+    and a few still compare empty ones.
+    """
+    graph = random_graph(rng, max_triples)
+    solve = rng.random() < SOLVED_SHARE
+    case = None
+    for _ in range(10):
+        bgp = random_bgp(rng, max_patterns)
+        if product_cost(graph, bgp) > MAX_COST:
+            continue
+        case = graph, bgp
+        if not solve or eval_bgp_bruteforce(graph, bgp):
+            break
+    return case

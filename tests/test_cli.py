@@ -551,6 +551,71 @@ class TestDamagedCache:
         assert {path.name: path.read_bytes() for path in staging.iterdir()} == before
 
 
+def _summary_entry(change):
+    """Damage the first graph's entry of ``staging/summary.json`` with
+    *change*, leaving its ``fingerprint`` and ``sha256`` intact."""
+
+    def damage(project: Path) -> None:
+        path = project / "staging" / "summary.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        change(doc["graphs"][min(doc["graphs"])])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    return damage
+
+
+def _rename(old: str, new: str):
+    return lambda entry: entry.__setitem__(new, entry.pop(old))
+
+
+def _set(key: str, value):
+    return lambda entry: entry.__setitem__(key, value)
+
+
+SUMMARY_DAMAGE = {
+    "skipped-renamed": _rename("skipped", "skipped_records"),
+    "quads-string": _set("quads", "12"),
+    "quads-negative": _set("quads", -1),
+    "source-records-float": _set("source_records", 1.5),
+    "source-records-bool": _set("source_records", True),
+    "per-rule-list": _set("per_rule", [1, 2]),
+    "per-rule-string-count": _set("per_rule", {"dataset.rq": "3"}),
+}
+
+
+class TestDamagedStagingSummary:
+    """A summary entry whose fields are not what transform writes counts
+    as absent: transform maps that graph again, and load records no
+    source records for it."""
+
+    @pytest.mark.parametrize("case", SUMMARY_DAMAGE)
+    def test_transform_remaps_the_graph(self, loaded_project, tmp_path, capsys, case):
+        project = tmp_path / "project"
+        shutil.copytree(loaded_project, project)
+        staging = project / "staging"
+        undamaged = {path.name: path.read_bytes() for path in staging.iterdir()}
+        _summary_entry(SUMMARY_DAMAGE[case])(project)
+        capsys.readouterr()
+        assert run_cli(project, "transform") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in staging.iterdir()} == undamaged
+
+    @pytest.mark.parametrize("case", ["source-records-float", "skipped-renamed"])
+    def test_load_counts_no_source_records(self, loaded_project, tmp_path, capsys, case):
+        project = tmp_path / "project"
+        shutil.copytree(loaded_project, project)
+        summary = json.loads((project / "staging" / "summary.json").read_text(encoding="utf-8"))
+        _summary_entry(SUMMARY_DAMAGE[case])(project)
+        capsys.readouterr()
+        assert run_cli(project, "load", "--fresh") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = json.loads((project / "store" / "manifest.json").read_text(encoding="utf-8"))
+        damaged = min(summary["graphs"])
+        for graph, entry in summary["graphs"].items():
+            expected = 0 if graph == damaged else entry["source_records"]
+            assert [e["source_records"] for e in manifest["graphs"][graph]["loads"]] == [expected]
+
+
 PACKAGED_RULES = Path(__file__).parent.parent / "src" / "kgforge" / "rules"
 
 
