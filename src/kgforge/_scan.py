@@ -84,13 +84,13 @@ class Scanner:
     def advance(self, n: int = 1) -> None:
         self.pos += n
 
-    def skip_ws(self, comments: bool = True) -> None:
-        """Skip whitespace and, by default, ``#`` comments to end of line."""
+    def skip_ws(self) -> None:
+        """Skip whitespace and ``#`` comments to end of line."""
         while self.pos < len(self.text):
             c = self.text[self.pos]
             if c in " \t\r\n":
                 self.pos += 1
-            elif comments and c == "#":
+            elif c == "#":
                 nl = self.text.find("\n", self.pos)
                 self.pos = len(self.text) if nl < 0 else nl
             else:

@@ -6,7 +6,8 @@ SELECT, ASK, or CONSTRUCT head.  SELECT adds ORDER BY on a variable plus
 LIMIT and OFFSET; everything else named in the SPARQL grammar is
 rejected at parse time with a message naming the feature.  Every form
 is planned at parse time for the ordered join, so every query reads the
-graph's ordered index and none its hash maps.  The join yields rows in
+graph's ordered index alone: neither its hash maps nor, for a pattern
+without a variable, its triple set.  The join yields rows in
 the documented order, so a SELECT reads only its first ``OFFSET +
 LIMIT`` solutions and an ASK its first; CONSTRUCT instantiates its
 template over all of them through the mapping engine's ``apply_rule``.

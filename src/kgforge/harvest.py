@@ -32,6 +32,7 @@ import json
 import logging
 import os
 import random
+import re
 import time
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -131,15 +132,24 @@ class RawCache:
         return source_id in self._index
 
     def get(self, source_id: str) -> CacheEntry | None:
+        """The entry of *source_id*, or None; an entry whose ``file`` is
+        not the blob name ``add`` gives its digest raises
+        CacheCorruption, so no index entry leads out of the cache."""
         doc = self._index.get(source_id)
         if doc is None:
             return None
         try:
+            digest, relative = doc["digest"], doc["file"]
+            if not (isinstance(digest, str) and _DIGEST.fullmatch(digest)):
+                raise ValueError(f"digest {digest!r} is not 64 lowercase hex digits")
+            expected = _blob_name(digest)
+            if relative != expected:
+                raise ValueError(f"file {relative!r} is not {expected!r}")
             return CacheEntry(
                 source_id=source_id,
                 submission_date=date.fromisoformat(doc["submitted"]),
-                content_digest=doc["digest"],
-                path=self.directory / doc["file"],
+                content_digest=digest,
+                path=self.directory / relative,
                 fetched_at=datetime.fromisoformat(doc["fetched_at"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -164,7 +174,7 @@ class RawCache:
     ) -> None:
         """Store one envelope whose SHA-256 ``digest`` the caller already
         knows; the index is written by the next :meth:`flush`."""
-        relative = f"{digest[:2]}/{digest}.json"
+        relative = _blob_name(digest)
         _write_blob(self.directory / relative, envelope)
         self._index[source_id] = {
             "digest": digest,
@@ -204,6 +214,15 @@ class RawCache:
 
     def load_record(self, entry: CacheEntry) -> RawRecord:
         return RawRecord(*parse_envelope(self.read_envelope(entry)), entry.fetched_at)
+
+
+#: A SHA-256 digest as ``hexdigest`` writes it.
+_DIGEST = re.compile("[0-9a-f]{64}")
+
+
+def _blob_name(digest: str) -> str:
+    """The cache-relative path of the envelope whose SHA-256 is *digest*."""
+    return f"{digest[:2]}/{digest}.json"
 
 
 def _write_blob(path: Path, envelope: bytes) -> None:

@@ -22,11 +22,13 @@ The endpoint's queries use the ordered join instead (``ordered_plan``,
 ``ordered_join``): it binds one variable at a time, in the order the
 endpoint sorts rows by, over sorted id permutations of the graph's
 ordered index, so it yields solutions in that order and can stop after
-a prefix.  Its solutions stay rows of term ids until a caller reads
-them as terms.  ``eval_bgp`` runs either plan, and ``apply_rule`` takes
-the solutions of either: a rule joins by the plan it was built with,
-``plan(where)`` unless its caller picks an ``OrderedPlan``, as the
-endpoint's CONSTRUCT does.
+a prefix.  A pattern without a variable is a range of the (s, p, o)
+permutation like any other, so the join reads the index alone, never
+the graph's triples.  Its solutions stay rows of term ids until a
+caller reads them as terms.  ``eval_bgp`` runs either plan, and
+``apply_rule`` takes the solutions of either: a rule joins by the plan
+it was built with, ``plan(where)`` unless its caller picks an
+``OrderedPlan``, as the endpoint's CONSTRUCT does.
 """
 
 from __future__ import annotations
@@ -468,7 +470,7 @@ def eval_bgp(
     ``ordered_join``.
     """
     if isinstance(plan, OrderedPlan):
-        return ordered_join(graph, plan, limit)
+        return ordered_join(graph.ordered(), plan, limit)
     return extend(graph, plan, [{}])
 
 
@@ -510,14 +512,13 @@ class OrderedPlan(NamedTuple):
     """A basic graph pattern planned for ``ordered_join``: variables are
     bound one at a time, in ``variables`` order, and each pattern reads
     the permutation of the graph's ordered index that lists its
-    constants first and then its variables in that order."""
+    constants first and then its variables in that order; a pattern
+    without a variable reads (s, p, o), and holds when its range is not
+    empty."""
 
     #: The binding order.
     variables: tuple[str, ...]
-    #: The patterns without a variable, each a triple the graph must hold.
-    ground: tuple[Triple, ...]
-    #: Per other pattern: its permutation, then its constants in that
-    #: order.
+    #: Per pattern: its permutation, then its constants in that order.
     scans: tuple[tuple[tuple[int, ...], tuple[Term, ...]], ...]
     #: Per variable: ``(pattern, first, last)`` of each pattern that
     #: holds it, in its permutation's columns ``first`` to ``last``
@@ -536,9 +537,8 @@ class OrderedSolutions:
     #: The variable of each id in a row: the plan's binding order.
     variables: tuple[str, ...]
     rows: list[tuple[int, ...]]
-    #: The index whose ``terms`` the ids point into; None when no row
-    #: holds an id.
-    index: OrderedIndex | None
+    #: The index whose ``terms`` the ids point into.
+    index: OrderedIndex
 
     def __iter__(self) -> Iterator[dict[str, Term]]:
         """Each solution as a binding of all its variables, as the hash
@@ -552,7 +552,7 @@ class OrderedSolutions:
     def dicts(self, names: Iterable[str]) -> list[dict[str, Term]]:
         """Each solution as the terms of those of *names* it binds."""
         positions = self.positions(names)
-        terms = self.index.terms if self.index is not None else ()
+        terms = self.index.terms
         return [{name: terms[row[k]] for name, k in positions} for row in self.rows]
 
 
@@ -568,7 +568,7 @@ def ordered_plan(
         names.remove(order_by)
         names.insert(0, order_by)
     depth = {name: d for d, name in enumerate(names)}
-    ground, scans = [], []
+    scans = []
     levels: list[list[tuple[int, int, int]]] = [[] for _ in names]
     for terms in patterns:
         constant, variable = [], []
@@ -577,9 +577,6 @@ def ordered_plan(
                 variable.append((depth[t.name], k))
             else:
                 constant.append(k)
-        if not variable:
-            ground.append(Triple(*terms))
-            continue
         j = len(scans)
         variable.sort()
         order = constant + [k for _, k in variable]
@@ -599,16 +596,15 @@ def ordered_plan(
         if first != last or (d + 1 < len(names) and tails[d + 1][0] != j):
             break
         tails[d] = (j, first)
-    return OrderedPlan(
-        tuple(names), tuple(ground), tuple(scans), tuple(map(tuple, levels)), tuple(tails)
-    )
+    return OrderedPlan(tuple(names), tuple(scans), tuple(map(tuple, levels)), tuple(tails))
 
 
 def ordered_join(
-    graph: Graph, plan: OrderedPlan, limit: int | None = None
+    index: OrderedIndex, plan: OrderedPlan, limit: int | None = None
 ) -> OrderedSolutions:
-    """The first *limit* solutions of *plan* over *graph* (all of them
-    when *limit* is None), sorted by the plan's variables in turn.
+    """The first *limit* solutions of *plan* over the graph whose ordered
+    index is *index* (all of them when *limit* is None), sorted by the
+    plan's variables in turn.
 
     A generic join in the manner of Leapfrog Triejoin (Veldhuizen, ICDT
     2014): each pattern holds a range of its permutation, narrowed by
@@ -616,14 +612,12 @@ def ordered_join(
     the ids on which every range that holds it agrees, in increasing
     order, which is canonical term order, so solutions come out sorted
     and the join stops at the *limit*-th.  A constant that the graph
-    lacks, or an empty range, is an empty answer.
+    lacks, or an empty range, is an empty answer; the empty pattern has
+    one empty solution.
     """
-    empty = OrderedSolutions(plan.variables, [], None)
-    if limit == 0 or not all(t in graph for t in plan.ground):
+    empty = OrderedSolutions(plan.variables, [], index)
+    if limit == 0:
         return empty
-    if not plan.variables:
-        return OrderedSolutions((), [()], None)
-    index = graph.ordered()
     ids = index.ids
     columns, lo, hi = [], [], []
     for order, constants in plan.scans:

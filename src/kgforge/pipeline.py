@@ -338,7 +338,7 @@ class HarvestResult:
     stats: HarvestStats
 
 
-def stage_harvest(config: PipelineConfig, **harvester_kwargs) -> HarvestResult:
+def stage_harvest(config: PipelineConfig) -> HarvestResult:
     """Fetch every source record into the cache; the count is how many
     records this run yielded (resumed runs yield only the remainder)."""
     config.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -346,7 +346,6 @@ def stage_harvest(config: PipelineConfig, **harvester_kwargs) -> HarvestResult:
         config.source,
         RawCache(config.cache_dir),
         checkpoint_path=config.checkpoint_path,
-        **harvester_kwargs,
     )
     count = sum(1 for _ in harvester.records())
     return HarvestResult(records=count, stats=harvester.stats)
@@ -605,7 +604,7 @@ def stage_load(config: PipelineConfig, *, fresh: bool = False) -> LoadResult:
     if fresh and config.store_dir.exists():
         shutil.rmtree(config.store_dir)
     store = Store.load(config.store_dir)
-    stored = {store.graph_entry(g).filename: g for g in store.graphs()}
+    stored = {graph_filename(g): g for g in store.graphs()}
     inserted = removed = 0
     for path in sorted(config.staging_dir.glob("*.nq")):
         graph = stored.get(path.name)

@@ -32,7 +32,10 @@ missing file, another quad count, a file that does not hash to its
 digest) or holds a graph file that is not UTF-8 N-Quads.  So a failure
 between two renames of ``persist``, which leaves new files under the
 old manifest, is caught.  An entry without a digest, persisted before
-digests were recorded, loads unchecked.
+digests were recorded, loads unchecked.  An entry's ``file`` must be
+the name ``graph_filename`` gives its graph, or ``load`` raises
+``CorruptManifest`` too, so no manifest can lead a load or a persist
+out of ``graphs/``.
 
 ``persist`` writes nothing but serializer output, so a file that
 matches its digest is the canonical text of the graph read from it.
@@ -99,9 +102,9 @@ class StoreStats:
 
 @dataclass
 class _GraphEntry:
-    """Manifest bookkeeping for one named graph."""
+    """Manifest bookkeeping for one named graph, whose file is named by
+    ``graph_filename``."""
 
-    filename: str
     loads: list[dict] = field(default_factory=list)
     #: SHA-256 of the graph file as last persisted or loaded; None for
     #: an entry persisted without one.
@@ -262,7 +265,7 @@ class Store:
         event = dict(at=loaded_at.isoformat(), inserted=inserted, source_records=source_records)
         if removed:
             event["removed"] = removed
-        self._manifest.setdefault(graph, _GraphEntry(graph_filename(graph))).loads.append(event)
+        self._manifest.setdefault(graph, _GraphEntry()).loads.append(event)
         return inserted, removed
 
     # -- lookup ----------------------------------------------------------
@@ -332,7 +335,7 @@ class Store:
                 entry = self._manifest[graph]
                 data = serialize_nquads(self.triples(graph), graph).encode("utf-8")
                 entry.sha256 = hashlib.sha256(data).hexdigest()
-                yield graphs_dir / entry.filename, data
+                yield graphs_dir / graph_filename(graph), data
             yield manifest_path, self._manifest_text()
 
         replace_files(files())
@@ -342,7 +345,11 @@ class Store:
     def _manifest_text(self) -> str:
         manifest_doc = {}
         for graph, entry in self._manifest.items():
-            doc = {"file": entry.filename, "quads": len(self.triples(graph)), "loads": entry.loads}
+            doc = {
+                "file": graph_filename(graph),
+                "quads": len(self.triples(graph)),
+                "loads": entry.loads,
+            }
             if entry.sha256 is not None:
                 doc["sha256"] = entry.sha256
             manifest_doc[graph.value] = doc
@@ -353,8 +360,9 @@ class Store:
         """Rebuild a store from a persisted directory.
 
         A directory without a manifest is an empty store.  A manifest
-        that cannot be read or disagrees with the files next to it, and
-        a graph file that is not UTF-8 N-Quads, raise CorruptManifest
+        that cannot be read, names a file other than ``graph_filename``
+        or disagrees with the files next to it, and a graph file that is
+        not UTF-8 N-Quads, raise CorruptManifest
         naming the file (and the line and column of a syntax error).
         The digest is checked last, so a file that is damaged in another
         way keeps that message.  A file that matches its digest is
@@ -394,6 +402,13 @@ class Store:
                 and (digest is None or isinstance(digest, str))
             ):
                 raise CorruptManifest(f"manifest entry for {graph_value} is malformed")
+            if filename != graph_filename(graph):
+                # Followed as written, a path could leave the store, and
+                # persist would then write the graph there.
+                raise CorruptManifest(
+                    f"manifest entry for {graph_value} names the file {filename!r}, "
+                    f"not {graph_filename(graph)!r}"
+                )
             graph_file = home / GRAPHS_DIR / filename
             try:
                 quads, sha256, identity = _read_graph_file(graph_file)
@@ -422,7 +437,7 @@ class Store:
                     store._certified[graph] = (graph_file, identity)
             if triples:
                 store._graphs[graph] = triples
-            store._manifest[graph] = _GraphEntry(filename, list(loads), digest)
+            store._manifest[graph] = _GraphEntry(list(loads), digest)
         store._home = home
         return store
 

@@ -376,12 +376,31 @@ def _edit(project: Path) -> None:
     path.write_text(serialize_nquads(set(triples), Iri(f"{BASE}graphs/2014/05")), encoding="utf-8")
 
 
+def _move_out(name):
+    """Point the 2014-05 manifest entry at a copy of its file outside the
+    store, written as ``name(copy)``; the digest and the count still
+    match."""
+
+    def damage(project: Path) -> None:
+        outside = project / "outside" / "2014-05.nq"
+        outside.parent.mkdir()
+        shutil.copyfile(project / "store" / "graphs" / "2014-05.nq", outside)
+        path = project / "store" / "manifest.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["graphs"][f"{BASE}graphs/2014/05"]["file"] = name(outside)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    return damage
+
+
 DAMAGE = {
     "not-utf8": (_append("graphs/2014-05.nq", b"\xff"), "2014-05.nq is not UTF-8"),
     "syntax": (_append("graphs/2014-05.nq", b"<a> <b> .\n"), "not an absolute IRI: 'a'"),
     "miscount": (_miscount, "manifest says"),
     "edited": (_edit, "2014-05.nq does not match its sha256"),
     "deep": (_deep_manifest, "unreadable manifest"),
+    "file-absolute": (_move_out(str), "not '2014-05.nq'"),
+    "file-parent": (_move_out(lambda _: "../../outside/2014-05.nq"), "not '2014-05.nq'"),
 }
 
 
@@ -416,6 +435,8 @@ class TestDamagedStore:
             ("miscount", "stats"),
             ("edited", "stats"),
             ("deep", "stats"),
+            ("file-absolute", "stats"),
+            ("file-parent", "stats"),
         ],
         indirect=["damaged"],
     )
@@ -426,6 +447,16 @@ class TestDamagedStore:
         assert err.startswith("kgforge: error: corrupt store ")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damaged", ["file-absolute", "file-parent"], indirect=True)
+    def test_a_load_writes_no_file_the_manifest_names_outside_the_store(self, damaged, capsys):
+        project, message = damaged
+        staged = project / "staging" / "2014-05.nq"
+        staged.write_bytes(b"".join(staged.read_bytes().splitlines(keepends=True)[:-1]))
+        files = {p: p.read_bytes() for p in project.rglob("*.nq") if p != staged}
+        assert run_cli(project, "load") == 2
+        assert message in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in project.rglob("*.nq") if p != staged} == files
 
     @pytest.mark.parametrize("damaged", ["edited"], indirect=True)
     def test_load_fresh_rebuilds_the_store(self, damaged, capsys):
@@ -472,6 +503,19 @@ def _drop_key(key: str):
     return damage
 
 
+def _set_entry(key: str, value):
+    """Set *key* of the first index entry to ``value(project, entry)``."""
+
+    def damage(project: Path) -> None:
+        path = project / "cache" / "index.json"
+        index = json.loads(path.read_text(encoding="utf-8"))
+        entry = index[min(index)]
+        entry[key] = value(project, entry)
+        path.write_text(json.dumps(index), encoding="utf-8")
+
+    return damage
+
+
 def _first_blob(project: Path) -> Path:
     index = json.loads((project / "cache" / "index.json").read_text(encoding="utf-8"))
     return project / "cache" / index[min(index)]["file"]
@@ -496,6 +540,19 @@ CACHE_DAMAGE = {
     "no-digest": (_drop_key("digest"), "KeyError('digest')"),
     "no-file": (_drop_key("file"), "KeyError('file')"),
     "no-fetched_at": (_drop_key("fetched_at"), "KeyError('fetched_at')"),
+    "entry-file-absolute": (
+        _set_entry("file", lambda project, _: str(project / "outside.json")),
+        "outside.json' is not '",
+    ),
+    "entry-file-parent": (_set_entry("file", lambda *_: "../outside.json"), "outside.json' is not '"),
+    "entry-file-other-blob": (
+        _set_entry("file", lambda _, entry: entry["file"].replace(".json", ".txt")),
+        ".txt' is not '",
+    ),
+    "entry-digest-upper": (
+        _set_entry("digest", lambda _, entry: entry["digest"].upper()),
+        "is not 64 lowercase hex digits",
+    ),
     "blob-missing": (_remove_blob, "No such file or directory"),
     "blob-edited": (_edit_blob, "does not match its digest"),
 }
@@ -523,6 +580,15 @@ class TestDamagedCache:
         assert str(project / "cache") in err
         assert "Traceback" not in err
         assert sorted((project / "staging").iterdir()) == staged
+
+    @pytest.mark.parametrize(
+        "damaged", ["entry-file-absolute", "entry-file-parent"], indirect=True
+    )
+    def test_a_harvest_writes_no_blob_outside_the_cache(self, damaged, capsys):
+        project, message = damaged
+        assert run_cli(project, "harvest") == 2
+        assert message in capsys.readouterr().err
+        assert not (project / "outside.json").exists()
 
     @pytest.mark.parametrize("damaged", ["index-list", "blob-edited"], indirect=True)
     def test_run_exits_2(self, damaged, capsys):

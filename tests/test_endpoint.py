@@ -860,6 +860,73 @@ class TestHttp:
         finally:
             server.stop()
 
+    def test_a_warm_snapshot_answers_without_its_triple_sets(self, served, monkeypatch):
+        """A pattern without a variable is an index lookup, so once the
+        indexes are built no query form reads a snapshot graph's
+        triples, not even a fully ground one."""
+        server = EndpointServer(served.store_dir, "127.0.0.1", 0)
+        try:
+            server.refresh()
+            store = server.snapshot.store
+        finally:
+            server.stop()
+        june = sorted(store.triples(G2), key=triple_sort_key)
+        present = next(t for t in june if t.predicate == Iri(RDF_TYPE))
+        absent = next(
+            Triple(present.subject, present.predicate, t.object)
+            for t in june
+            if Triple(present.subject, present.predicate, t.object) not in june
+        )
+
+        def ground(t: Triple) -> str:
+            return " ".join(map(format_term, (t.subject, t.predicate, t.object)))
+
+        queries = [
+            f"ASK {{ {ground(present)} }}",
+            f"ASK {{ {ground(absent)} }}",
+            f"SELECT * WHERE {{ {ground(present)} . ?s a ?c }}",
+            f"CONSTRUCT {{ {format_term(present.subject)} <{EX}typed> \"yes\" }} "
+            f"WHERE {{ GRAPH <{G2.value}> {{ {ground(present)} }} }}",
+        ]
+        parsed = [parse_query(text) for text in queries]
+        expected = []
+        for query in parsed:
+            if isinstance(query, ConstructQuery):
+                rule = query.rule
+                graph = store.triples(query.graph)
+                expected.append(oracle.construct_bruteforce(graph, rule.where, rule.template))
+            else:
+                expected.append(oracle.eval_bgp_bruteforce(store.triples(query.graph), query.where))
+        assert [bool(answer) for answer in expected] == [True, False, True, True]
+
+        def answer(query):
+            if isinstance(query, ConstructQuery):
+                return execute_construct(store, query)
+            if isinstance(query, AskQuery):
+                return execute_ask(store, query)
+            return {frozenset(row.items()) for row in execute_select(store, query).rows}
+
+        warm = [answer(query) for query in parsed]
+
+        def unread(graph, *args):
+            raise AssertionError("a query read a graph's triple set")
+
+        snapshot = {id(store.triples(g)) for g in [None, *store.graphs()]}
+        for name in ("__contains__", "__iter__"):
+            read = getattr(Graph, name)
+            monkeypatch.setattr(
+                Graph,
+                name,
+                lambda graph, *args, read=read: (unread if id(graph) in snapshot else read)(
+                    graph, *args
+                ),
+            )
+        blind = [answer(query) for query in parsed]
+        monkeypatch.undo()
+        assert blind == warm
+        assert blind[:2] == [True, False]
+        assert blind[2:] == expected[2:]
+
     def test_stats_computed_once_per_snapshot(self, tmp_path, monkeypatch):
         calls = []
         stats = Store.stats

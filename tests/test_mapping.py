@@ -8,6 +8,7 @@ compared byte for byte against hand-instantiated golden files.
 
 from __future__ import annotations
 
+import random
 from datetime import date, datetime
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from kgforge.mapping import (
     eval_expression,
     extend,
     load_rule_pack,
+    ordered_join,
+    ordered_plan,
     parse_rule,
     plan,
     plan_from,
@@ -39,9 +42,11 @@ from kgforge.rdf import (
     Graph,
     Iri,
     Literal,
+    OrderedIndex,
     Triple,
     lang_literal,
     serialize_ntriples,
+    triple_sort_key,
 )
 
 from . import oracle
@@ -445,6 +450,74 @@ class TestPlanRoles:
             {"x": ex("a"), "y": ex("c")},
         ]
         assert extend(g, steps, [{"x": ex("zzz")}]) == []
+
+
+def _absent_triple(triples: list[Triple]) -> Triple:
+    """A triple of terms from *triples* that is not one of them."""
+    return next(
+        Triple(t.subject, u.predicate, t.object)
+        for t in triples
+        for u in triples
+        if Triple(t.subject, u.predicate, t.object) not in triples
+    )
+
+
+class TestOrderedJoinOnAnIndex:
+    """``ordered_join`` reads a bare ``OrderedIndex``: a pattern without
+    a variable is a range of its (s, p, o) permutation, so no graph is
+    needed to answer it."""
+
+    GRAPH = oracle.random_graph(random.Random(7), 60)
+    TRIPLES = sorted(GRAPH, key=triple_sort_key)
+    PRESENT = TRIPLES[0]
+    ABSENT = _absent_triple(TRIPLES)
+    ALL = TriplePattern(Variable("a"), Variable("b"), Variable("c"))
+
+    @staticmethod
+    def ground(t: Triple) -> TriplePattern:
+        return TriplePattern(t.subject, t.predicate, t.object)
+
+    def join(self, patterns, limit=None):
+        index = OrderedIndex(self.GRAPH)
+        solutions = ordered_join(index, ordered_plan(patterns), limit)
+        assert solutions.index is index
+        return solutions
+
+    def test_the_cases_are_what_they_say(self):
+        assert self.PRESENT in self.GRAPH
+        assert self.ABSENT not in self.GRAPH
+
+    @pytest.mark.parametrize(
+        "case",
+        ["present", "absent", "unknown-term", "ground-only", "ground-only-absent", "empty"],
+    )
+    def test_equals_the_bruteforce_join(self, case):
+        patterns = {
+            "present": [self.ground(self.PRESENT), self.ALL],
+            "absent": [self.ALL, self.ground(self.ABSENT)],
+            "unknown-term": [self.ground(Triple(ex("nowhere"), ex("p0"), ex("n0"))), self.ALL],
+            "ground-only": [self.ground(t) for t in self.TRIPLES[:3]],
+            "ground-only-absent": [self.ground(self.PRESENT), self.ground(self.ABSENT)],
+            "empty": [],
+        }[case]
+        solutions = self.join(patterns)
+        found = [frozenset(solution.items()) for solution in solutions]
+        assert len(set(found)) == len(found)
+        assert set(found) == oracle.eval_bgp_bruteforce(self.GRAPH, patterns)
+        assert solutions.rows == sorted(solutions.rows)
+
+    @pytest.mark.parametrize("patterns", [[], [ALL], [ALL, ALL]], ids=["empty", "one", "two"])
+    def test_limit_0_is_no_row(self, patterns):
+        assert self.join(patterns, 0).rows == []
+
+    def test_a_limit_is_a_prefix_of_the_rows(self):
+        patterns = [self.ground(self.PRESENT), self.ALL]
+        assert self.join(patterns, 5).rows == self.join(patterns).rows[:5]
+
+    def test_a_ground_pattern_scans_spo(self):
+        t = self.PRESENT
+        (scan,) = ordered_plan([self.ground(t)]).scans
+        assert scan == ((0, 1, 2), (t.subject, t.predicate, t.object))
 
 
 class TestEvalExpression:

@@ -159,7 +159,8 @@ class TestReplaceGraph:
         loaded = Store.load(tmp_path)
         assert loaded == store
         assert len(loaded.triples(G_MAY)) == 0
-        assert loaded.graph_entry(G_MAY).filename == "2014-05.nq"
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["graphs"][G_MAY.value]["file"] == "2014-05.nq"
         assert (tmp_path / "graphs" / "2014-05.nq").read_bytes() == b""
 
 
